@@ -16,7 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .distance import Dist, dist_max, dist_sum
 from .errors import CapExceededError, InvariantError, StructuralError
-from .spaces import MetricSpace, SpaceMap, product_space, tuple_label
+from .matrix import InstanceTable, pair_instances, scale, stretched
+from .spaces import MetricSpace, SpaceMap, product_space, subspace, tuple_label
 from .terms import Signature
 
 DEFAULT_PAIR_CAP = 10_000_000
@@ -103,12 +104,51 @@ class QuantAlgebra:
         return f"QuantAlgebra({self.carrier.n} points, {len(self.signature.symbols)} symbols)"
 
 
-def _tuple_pairs(points, arity, symbol, max_pairs):
-    count = len(points) ** (2 * arity)
+def _symbol_instances(algebra: QuantAlgebra, name: str, arity: int, max_pairs: int):
+    """The instances of one symbol, one chunk per first argument tuple, in
+    lexicographic order; the pair cap is checked before any is built."""
+    points = algebra.carrier.points
+    n = len(points)
+    count = n ** (2 * arity)
     if count > max_pairs:
-        raise CapExceededError(f"tuple pairs for symbol {symbol!r}", count, max_pairs)
-    tuples = list(itertools.product(points, repeat=arity))
-    return itertools.product(tuples, tuples)
+        raise CapExceededError(f"tuple pairs for symbol {name!r}", count, max_pairs)
+    index = {p: i for i, p in enumerate(points)}
+    table = algebra.tables[name]
+    outs = [index[table[xs]] for xs in itertools.product(points, repeat=arity)]
+    return pair_instances(n, list(itertools.product(range(n), repeat=arity)), outs)
+
+
+def operation_instances(algebra: QuantAlgebra, max_pairs: int = DEFAULT_PAIR_CAP) -> InstanceTable:
+    """The operation-instance table: every pair of argument tuples, in
+    signature and lexicographic order, whose outputs differ."""
+    return InstanceTable(algebra.carrier.n, (
+        (name, _symbol_instances(algebra, name, arity, max_pairs))
+        for name, arity in algebra.signature.symbols
+    ))
+
+
+def _nonexpansion_report(
+    algebra: QuantAlgebra, symbols: Sequence[tuple[str, int]], combiner: str, max_pairs: int
+) -> list[OpViolation]:
+    # streams one chunk of instances at a time, so memory stays O(n^arity)
+    combine = dist_max if combiner == "max" else dist_sum
+    carrier = algebra.carrier
+    pts, n = carrier.points, carrier.n
+    (m,), _, inf = scale(carrier.rows)
+    out: list[OpViolation] = []
+    for symbol, arity in symbols:
+        pairs = []
+        for chunk in _symbol_instances(algebra, symbol, arity, max_pairs):
+            for inst in stretched(m, inf, chunk, combiner):
+                xs, ys = tuple(c // n for c in inst[2:]), tuple(c % n for c in inst[2:])
+                pairs += [(xs, ys), (ys, xs)]  # the carrier metric is symmetric
+        for xs, ys in sorted(pairs):
+            left = tuple(pts[i] for i in xs)
+            right = tuple(pts[i] for i in ys)
+            bound = combine(carrier.dist_at(x, y) for x, y in zip(xs, ys))
+            actual = carrier.dist(algebra.op(symbol, left), algebra.op(symbol, right))
+            out.append(OpViolation(symbol, left, right, bound, actual))
+    return out
 
 
 def check_op_against_combiner(
@@ -125,16 +165,8 @@ def check_op_against_combiner(
     """
     if combiner not in ("max", "sum"):
         raise StructuralError(f"unknown combiner {combiner!r}")
-    combine = dist_max if combiner == "max" else dist_sum
     arity = algebra.signature.arity(symbol)
-    carrier = algebra.carrier
-    out: list[OpViolation] = []
-    for xs, ys in _tuple_pairs(carrier.points, arity, symbol, max_pairs):
-        bound = combine(carrier.dist(x, y) for x, y in zip(xs, ys))
-        actual = carrier.dist(algebra.op(symbol, xs), algebra.op(symbol, ys))
-        if actual > bound:
-            out.append(OpViolation(symbol, xs, ys, bound, actual))
-    return out
+    return _nonexpansion_report(algebra, [(symbol, arity)], combiner, max_pairs)
 
 
 def validate_algebra(
@@ -143,13 +175,10 @@ def validate_algebra(
     """Every way an operation fails to be nonexpanding for the max metric.
 
     Empty report iff the algebra is a valid quantitative algebra.  The
-    report order is deterministic (symbols in signature order, tuples
-    lexicographic).
+    report order is deterministic (symbols in signature order, ordered
+    tuple pairs lexicographic).
     """
-    out: list[OpViolation] = []
-    for name, _ in algebra.signature.symbols:
-        out.extend(check_op_against_combiner(algebra, name, "max", max_pairs))
-    return out
+    return _nonexpansion_report(algebra, algebra.signature.symbols, "max", max_pairs)
 
 
 def require_valid(algebra: QuantAlgebra, max_pairs: int = DEFAULT_PAIR_CAP) -> QuantAlgebra:
@@ -157,6 +186,17 @@ def require_valid(algebra: QuantAlgebra, max_pairs: int = DEFAULT_PAIR_CAP) -> Q
     if report:
         raise InvariantError("operations are not nonexpanding for the max metric", report)
     return algebra
+
+
+def op_tables(
+    signature: Signature, points: Sequence[str], value
+) -> dict[str, dict[tuple[str, ...], str]]:
+    """Operation tables on the points: value(name, args) at every argument
+    tuple, in lexicographic order."""
+    return {
+        name: {xs: value(name, xs) for xs in itertools.product(points, repeat=arity)}
+        for name, arity in signature.symbols
+    }
 
 
 def hom_violations(
@@ -251,28 +291,15 @@ def product_algebra(
     prod = product_space([a.carrier for a in algebras])
     labels = prod.space.points
     coords = prod.coords
-    tables: dict[str, dict[tuple[str, ...], str]] = {}
-    for name, arity in signature.symbols:
-        table: dict[tuple[str, ...], str] = {}
-        for key in itertools.product(labels, repeat=arity):
-            result = tuple(
-                a.op(name, tuple(coords[k][i] for k in key))
-                for i, a in enumerate(algebras)
-            )
-            table[key] = tuple_label(result)
-        tables[name] = table
+    tables = op_tables(signature, labels, lambda name, key: tuple_label(tuple(
+        a.op(name, tuple(coords[k][i] for k in key)) for i, a in enumerate(algebras)
+    )))
     out = QuantAlgebra(prod.space, signature, tables)
     projections = [
         Homomorphism(out, a, {p: coords[p][i] for p in labels})
         for i, a in enumerate(algebras)
     ]
     return out, projections
-
-
-def _subspace(carrier: MetricSpace, keep: Iterable[str]) -> MetricSpace:
-    pts = sorted(set(keep))
-    rows = [[carrier.dist(x, y) for y in pts] for x in pts]
-    return MetricSpace(pts, rows)
 
 
 def subalgebra_generated(
@@ -296,14 +323,8 @@ def subalgebra_generated(
         if not added:
             break
         current |= added
-    sub_carrier = _subspace(algebra.carrier, current)
-    tables = {
-        name: {
-            xs: algebra.op(name, xs)
-            for xs in itertools.product(sub_carrier.points, repeat=arity)
-        }
-        for name, arity in algebra.signature.symbols
-    }
+    sub_carrier = subspace(algebra.carrier, current)
+    tables = op_tables(algebra.signature, sub_carrier.points, algebra.op)
     sub = QuantAlgebra(sub_carrier, algebra.signature, tables)
     inclusion = Homomorphism(sub, algebra, {p: p for p in sub_carrier.points})
     return sub, inclusion
@@ -327,13 +348,9 @@ def image_factorize(f: Homomorphism) -> tuple[Homomorphism, Homomorphism]:
         for a in reps
     ]
     image_carrier = MetricSpace(reps, rows)
-    tables: dict[str, dict[tuple[str, ...], str]] = {}
-    for name, arity in source.signature.symbols:
-        table: dict[tuple[str, ...], str] = {}
-        for xs in itertools.product(reps, repeat=arity):
-            value = target.op(name, tuple(value_of_rep[x] for x in xs))
-            table[xs] = rep_of_value[value]  # image is op-closed
-        tables[name] = table
+    tables = op_tables(source.signature, reps, lambda name, xs: rep_of_value[
+        target.op(name, tuple(value_of_rep[x] for x in xs))  # image is op-closed
+    ])
     image = QuantAlgebra(image_carrier, source.signature, tables)
     onto = Homomorphism(source, image, {p: rep_of_value[f(p)] for p in source.carrier.points})
     embed = Homomorphism(image, target, value_of_rep)

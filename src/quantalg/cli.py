@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import jsonio
-from .algebras import validate_algebra, image_factorize, require_valid
+from .algebras import OpViolation, validate_algebra, image_factorize, require_valid
 from .congruences import (
     Subcongruence,
     coequalizer,
@@ -84,11 +84,11 @@ class Reporter:
             print(f"error ({kind}): {message}", file=sys.stderr)
 
 
-def _violations_doc(violations) -> list[dict]:
-    return [
-        {"kind": v.kind, "points": list(v.points), "detail": v.detail}
-        for v in violations
-    ]
+def _violation_doc(v) -> dict:
+    if isinstance(v, OpViolation):
+        return {"symbol": v.symbol, "left": list(v.left), "right": list(v.right),
+                "bound": str(v.bound), "actual": str(v.actual)}
+    return {"kind": v.kind, "points": list(v.points), "detail": v.detail}
 
 
 def _cmd_validate(args, rep: Reporter) -> int:
@@ -96,36 +96,17 @@ def _cmd_validate(args, rep: Reporter) -> int:
     if args.kind == "space":
         points, rows = jsonio.space_parts_from_doc(doc)
         report = space_violations(points, rows, mode="pseudo" if args.pseudo else "metric")
-        data = {"violations": _violations_doc(report)}
-        rep.emit(not report, data, [str(v) for v in report] or ["valid"])
-        return EXIT_OK if not report else EXIT_VIOLATION
-    if args.kind == "algebra":
-        algebra = jsonio.algebra_from_doc(doc)
-        report = validate_algebra(algebra)
-        data = {
-            "violations": [
-                {
-                    "symbol": v.symbol,
-                    "left": list(v.left),
-                    "right": list(v.right),
-                    "bound": str(v.bound),
-                    "actual": str(v.actual),
-                }
-                for v in report
-            ]
-        }
-        rep.emit(not report, data, [str(v) for v in report] or ["valid"])
-        return EXIT_OK if not report else EXIT_VIOLATION
-    # subcongruence: report base-space problems and matrix problems together
-    if not isinstance(doc, dict) or "base" not in doc:
-        raise StructuralError("subcongruence document needs 'base'")
-    points, rows = jsonio.space_parts_from_doc(doc["base"])
-    base_report = space_violations(points, rows, mode="metric")
-    report = list(base_report)
-    if not base_report:
-        base = MetricSpace(points, rows)
-        report.extend(subcongruence_violations(base, jsonio.dhat_rows_from_doc(doc, base)))
-    data = {"violations": _violations_doc(report)}
+    elif args.kind == "algebra":
+        report = validate_algebra(jsonio.algebra_from_doc(doc))
+    else:  # subcongruence: report base-space problems and matrix problems together
+        if not isinstance(doc, dict) or "base" not in doc:
+            raise StructuralError("subcongruence document needs 'base'")
+        points, rows = jsonio.space_parts_from_doc(doc["base"])
+        report = space_violations(points, rows, mode="metric")
+        if not report:
+            base = MetricSpace(points, rows)
+            report = subcongruence_violations(base, jsonio.dhat_rows_from_doc(doc, base))
+    data = {"violations": [_violation_doc(v) for v in report]}
     rep.emit(not report, data, [str(v) for v in report] or ["valid"])
     return EXIT_OK if not report else EXIT_VIOLATION
 
@@ -170,11 +151,8 @@ def _classes_doc(qmap) -> list[dict]:
     ]
 
 
-def _classes_lines(qmap) -> list[str]:
-    return [
-        f"[{rep_}] = {{{', '.join(members)}}}"
-        for rep_, members in sorted(qmap.classes().items())
-    ]
+def _classes_lines(classes: dict[str, list[str]]) -> list[str]:
+    return [f"[{r}] = {{{', '.join(members)}}}" for r, members in sorted(classes.items())]
 
 
 def _cmd_kernel(args, rep: Reporter) -> int:
@@ -205,7 +183,7 @@ def _cmd_quotient(args, rep: Reporter) -> int:
         "quotient": jsonio.algebra_to_doc(quotient),
         "classes": _classes_doc(qmap),
     }
-    rep.emit(True, data, _classes_lines(qmap))
+    rep.emit(True, data, _classes_lines(qmap.classes()))
     return EXIT_OK
 
 
@@ -220,8 +198,7 @@ def _cmd_coequalize(args, rep: Reporter) -> int:
         "quotient": jsonio.algebra_to_doc(quotient),
         "map": sorted([p, q] for p, q in onto.mapping.items()),
     }
-    lines = [f"[{r}] = {{{', '.join(sorted(ms))}}}" for r, ms in sorted(classes.items())]
-    rep.emit(True, data, lines)
+    rep.emit(True, data, _classes_lines(classes))
     return EXIT_OK
 
 
@@ -229,7 +206,7 @@ def _cmd_colimit(args, rep: Reporter) -> int:
     sub = jsonio.subcongruence_from_doc(_load_json(args.subcongruence))
     space, qmap = colimit(sub)
     data = {"space": jsonio.space_to_doc(space), "classes": _classes_doc(qmap)}
-    rep.emit(True, data, _classes_lines(qmap))
+    rep.emit(True, data, _classes_lines(qmap.classes()))
     return EXIT_OK
 
 

@@ -15,25 +15,25 @@ propagation until a full alternation changes nothing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebras import Homomorphism, QuantAlgebra
-from .distance import Dist, INF, ZERO, dist_max
-from .errors import CapExceededError, ConvergenceError, InvariantError, StructuralError
+from .algebras import DEFAULT_PAIR_CAP, Homomorphism, QuantAlgebra, op_tables, operation_instances
+from .distance import Dist, ZERO, dist_max
+from .errors import ConvergenceError, InvariantError, StructuralError
+from .matrix import InstanceTable, min_plus_sweep, propagation_sweep, scale, stretched, unscale
 from .spaces import (
     MetricSpace,
     PseudoSpace,
     QuotientMap,
     SpaceMap,
     Violation,
+    axiom_report,
     metric_reflection,
     product_space,
     tuple_label,
+    tuple_rows,
 )
-
-DEFAULT_PAIR_CAP = 10_000_000
 
 
 def subcongruence_violations(
@@ -41,40 +41,7 @@ def subcongruence_violations(
 ) -> list[Violation]:
     """All axioms the matrix breaks: reflexivity bound, symmetry, zero
     diagonal, triangle inequality."""
-    pts = base.points
-    n = len(pts)
-    if len(dhat) != n or any(len(row) != n for row in dhat):
-        raise StructuralError(f"matrix is not {n}x{n}")
-    out: list[Violation] = []
-    for i in range(n):
-        if dhat[i][i] != ZERO:
-            out.append(Violation("diagonal", (pts[i],), f"{dhat[i][i]} != 0"))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dhat[i][j] != dhat[j][i]:
-                out.append(Violation("symmetry", (pts[i], pts[j]), f"{dhat[i][j]} vs {dhat[j][i]}"))
-            if dhat[i][j] > base.dist_at(i, j):
-                out.append(
-                    Violation(
-                        "bound",
-                        (pts[i], pts[j]),
-                        f"{dhat[i][j]} exceeds base distance {base.dist_at(i, j)}",
-                    )
-                )
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dhat[i][j] > dhat[i][k] + dhat[k][j]:
-                    out.append(
-                        Violation(
-                            "triangle",
-                            (pts[i], pts[k], pts[j]),
-                            f"{dhat[i][j]} > {dhat[i][k]} + {dhat[k][j]}",
-                        )
-                    )
-    return out
+    return axiom_report(base.points, dhat, upper=base.rows)
 
 
 class Subcongruence:
@@ -100,13 +67,7 @@ class Subcongruence:
 
     def sublevel(self, epsilon: Dist) -> "PairRelation":
         """The relation at one threshold, with its two projections."""
-        pairs = tuple(
-            (x, y)
-            for x in self.base.points
-            for y in self.base.points
-            if self.d(x, y) <= epsilon
-        )
-        return _pair_relation(self.base, pairs)
+        return _pair_relation(self.base, lambda x, y: self.d(x, y) <= epsilon)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subcongruence):
@@ -132,22 +93,11 @@ class PairRelation:
     right: SpaceMap
 
 
-def _pair_relation(base: MetricSpace, pairs: tuple[tuple[str, str], ...]) -> PairRelation:
+def _pair_relation(base: MetricSpace, related) -> PairRelation:
+    pairs = [(x, y) for x in base.points for y in base.points if related(x, y)]
     labels = sorted(tuple_label(p) for p in pairs)
     by_label = {tuple_label(p): p for p in pairs}
-    rows = [
-        [
-            dist_max(
-                (
-                    base.dist(by_label[a][0], by_label[b][0]),
-                    base.dist(by_label[a][1], by_label[b][1]),
-                )
-            )
-            for b in labels
-        ]
-        for a in labels
-    ]
-    space = MetricSpace(labels, rows)
+    space = MetricSpace(labels, tuple_rows([base.dist] * 2, [by_label[a] for a in labels]))
     left = SpaceMap(space, base, {lab: by_label[lab][0] for lab in labels})
     right = SpaceMap(space, base, {lab: by_label[lab][1] for lab in labels})
     return PairRelation(tuple(sorted(pairs)), space, left, right)
@@ -173,13 +123,7 @@ def epsilon_kernel_pair(f, epsilon) -> PairRelation:
     eps = Dist(epsilon)
     if not isinstance(source, MetricSpace):
         raise StructuralError("kernel pairs need a metric source")
-    pairs = tuple(
-        (x, y)
-        for x in source.points
-        for y in source.points
-        if target.dist(mapping[x], mapping[y]) <= eps
-    )
-    return _pair_relation(source, pairs)
+    return _pair_relation(source, lambda x, y: target.dist(mapping[x], mapping[y]) <= eps)
 
 
 def kernel_subcongruence(f) -> Subcongruence:
@@ -236,106 +180,39 @@ def product_subcongruence(s1: Subcongruence, s2: Subcongruence) -> Subcongruence
     """Componentwise maximum on the product base; its colimit is the
     product of the component colimits."""
     prod = product_space([s1.base, s2.base])
-    labels = prod.space.points
-    rows = []
-    for a in labels:
-        xa, ya = prod.coords[a]
-        row = []
-        for b in labels:
-            xb, yb = prod.coords[b]
-            row.append(dist_max((s1.d(xa, xb), s2.d(ya, yb))))
-        rows.append(row)
+    rows = tuple_rows([s1.d, s2.d], [prod.coords[a] for a in prod.space.points])
     return Subcongruence(prod.space, rows)
 
 
-@dataclass(frozen=True)
-class PropagationRule:
-    """One operation instance: if all coordinate pairs are close, the output
-    pair must be at least as close."""
-
-    coord_pairs: tuple[tuple[int, int], ...]
-    out_left: int
-    out_right: int
-
-
-def _floyd_warshall_sweep(m: list[list[Dist]]) -> bool:
-    n = len(m)
-    changed = False
-    for k in range(n):
-        row_k = m[k]
-        for i in range(n):
-            d_ik = m[i][k]
-            if d_ik.is_infinite:
-                continue
-            row_i = m[i]
-            for j in range(n):
-                alt = d_ik + row_k[j]
-                if alt < row_i[j]:
-                    row_i[j] = alt
-                    m[j][i] = alt
-                    changed = True
-    return changed
-
-
-def _propagation_sweep(m: list[list[Dist]], rules: Sequence[PropagationRule]) -> bool:
-    changed = False
-    for rule in rules:
-        bound = ZERO
-        for i, j in rule.coord_pairs:
-            v = m[i][j]
-            if v > bound:
-                bound = v
-            if bound.is_infinite:
-                break
-        if bound < m[rule.out_left][rule.out_right]:
-            m[rule.out_left][rule.out_right] = bound
-            m[rule.out_right][rule.out_left] = bound
-            changed = True
-    return changed
-
-
-def closure_fixpoint(
-    matrix: list[list[Dist]], rules: Sequence[PropagationRule], pass_cap: int
-) -> int:
+def closure_fixpoint(matrix: list[list[Dist]], rules: InstanceTable, pass_cap: int) -> int:
     """Alternate full min-plus sweeps with propagation sweeps, in place.
 
-    Stops after a full alternation with zero changes; returns the number
-    of alternations.  Termination of the alternation in exact arithmetic
-    is unproven, so a pass cap guards against silent divergence.
+    The matrix must be symmetric with a zero diagonal.  Stops after a full
+    alternation with zero changes; returns the number of alternations.
+    Termination of the alternation in exact arithmetic is unproven, so a
+    pass cap guards against silent divergence.  The sweeps run on the
+    scaled integer matrix; the caller's matrix gets the changed entries
+    back as Dist.
     """
-    passes = 0
-    while True:
-        snapshot = [row[:] for row in matrix]
-        changed = _floyd_warshall_sweep(matrix)
-        changed = _propagation_sweep(matrix, rules) or changed
-        passes += 1
-        if not changed:
-            return passes
-        if passes >= pass_cap:
-            raise ConvergenceError(passes, snapshot, [row[:] for row in matrix])
-
-
-def _operation_rules(algebra: QuantAlgebra, max_pairs: int) -> list[PropagationRule]:
-    index = {p: i for i, p in enumerate(algebra.carrier.points)}
-    rules: list[PropagationRule] = []
-    for name, arity in algebra.signature.symbols:
-        count = len(index) ** (2 * arity)
-        if count > max_pairs:
-            raise CapExceededError(f"tuple pairs for symbol {name!r}", count, max_pairs)
-        tuples = list(itertools.product(algebra.carrier.points, repeat=arity))
-        for xs, ys in itertools.combinations(tuples, 2):
-            out_l = index[algebra.op(name, xs)]
-            out_r = index[algebra.op(name, ys)]
-            if out_l == out_r:
-                continue
-            rules.append(
-                PropagationRule(
-                    tuple((index[x], index[y]) for x, y in zip(xs, ys)),
-                    out_l,
-                    out_r,
-                )
-            )
-    return rules
+    n = len(matrix)
+    (m,), unit, inf = scale(matrix)
+    start, passes = m[:], 0
+    try:
+        while True:
+            snapshot = m[:]
+            changed = min_plus_sweep(m, n, inf)
+            changed = propagation_sweep(m, rules) or changed
+            passes += 1
+            if not changed:
+                return passes
+            if passes >= pass_cap:
+                break
+    finally:
+        for c, (old, new) in enumerate(zip(start, m)):
+            if new != old:
+                matrix[c // n][c % n] = unscale(new, unit, inf)
+    previous = [[unscale(v, unit, inf) for v in snapshot[i:i + n]] for i in range(0, n * n, n)]
+    raise ConvergenceError(passes, previous, [row[:] for row in matrix])
 
 
 class CongruenceOnAlgebra:
@@ -346,7 +223,9 @@ class CongruenceOnAlgebra:
     def __init__(self, algebra: QuantAlgebra, sub: Subcongruence, max_pairs: int = DEFAULT_PAIR_CAP):
         if sub.base != algebra.carrier:
             raise StructuralError("subcongruence base differs from the carrier")
-        bad = compatibility_violations(algebra, sub, max_pairs)
+        self._adopt(algebra, sub, compatibility_violations(algebra, sub, max_pairs))
+
+    def _adopt(self, algebra: QuantAlgebra, sub: Subcongruence, bad: list[Violation]) -> None:
         if bad:
             raise InvariantError("operations do not respect the matrix", bad)
         object.__setattr__(self, "algebra", algebra)
@@ -364,20 +243,21 @@ def compatibility_violations(
 ) -> list[Violation]:
     """Tuple pairs where an operation stretches d-hat beyond the maximum of
     the coordinate d-hat distances."""
-    m = [list(row) for row in sub.dhat]
+    return _compatibility_report(algebra, sub, operation_instances(algebra, max_pairs))
+
+
+def _compatibility_report(
+    algebra: QuantAlgebra, sub: Subcongruence, table: InstanceTable
+) -> list[Violation]:
+    (m,), _, inf = scale(sub.dhat)
+    n, pts = table.n, algebra.carrier.points
     out: list[Violation] = []
-    for rule in _operation_rules(algebra, max_pairs):
-        bound = dist_max(m[i][j] for i, j in rule.coord_pairs)
-        actual = m[rule.out_left][rule.out_right]
-        if actual > bound:
-            pts = algebra.carrier.points
-            out.append(
-                Violation(
-                    "compatibility",
-                    (pts[rule.out_left], pts[rule.out_right]),
-                    f"{actual} > coordinate bound {bound}",
-                )
-            )
+    for _, instances in table.blocks:
+        for inst in stretched(m, inf, instances):
+            i, j = divmod(inst[0], n)
+            bound = dist_max(sub.dhat[c // n][c % n] for c in inst[2:])
+            detail = f"{sub.dhat[i][j]} > coordinate bound {bound}"
+            out.append(Violation("compatibility", (pts[i], pts[j]), detail))
     return out
 
 
@@ -402,11 +282,14 @@ def generated_congruence(
         bound = Dist(eps)
         if bound < m[i][j]:
             m[i][j] = m[j][i] = bound
-    rules = _operation_rules(algebra, max_pairs)
+    rules = operation_instances(algebra, max_pairs)
     n = carrier.n
     cap = max_passes if max_passes is not None else 16 * n * n * (1 + algebra.table_size())
     closure_fixpoint(m, rules, max(cap, 1))
-    return CongruenceOnAlgebra(algebra, Subcongruence(carrier, m))
+    sub = Subcongruence(carrier, m)
+    cong = object.__new__(CongruenceOnAlgebra)  # checked on the table the closure used
+    cong._adopt(algebra, sub, _compatibility_report(algebra, sub, rules))
+    return cong
 
 
 def quotient_algebra(cong: CongruenceOnAlgebra) -> tuple[QuantAlgebra, Homomorphism]:
@@ -419,12 +302,9 @@ def quotient_algebra(cong: CongruenceOnAlgebra) -> tuple[QuantAlgebra, Homomorph
     algebra = cong.algebra
     space, qmap = colimit(cong.sub)
     class_of = qmap.class_of
-    tables: dict[str, dict[tuple[str, ...], str]] = {}
-    for name, arity in algebra.signature.symbols:
-        table: dict[tuple[str, ...], str] = {}
-        for reps in itertools.product(space.points, repeat=arity):
-            table[reps] = class_of[algebra.op(name, reps)]
-        tables[name] = table
+    tables = op_tables(algebra.signature, space.points, lambda name, reps: class_of[
+        algebra.op(name, reps)
+    ])
     quotient = QuantAlgebra(space, algebra.signature, tables)
     onto = Homomorphism(algebra, quotient, dict(class_of))
     return quotient, onto

@@ -93,11 +93,10 @@ class Dist:
         return self._frac < other._frac
 
     def __le__(self, other: "Dist") -> bool:
-        other = _coerce(other)
-        return self == other or self < other
+        return not _coerce(other).__lt__(self)
 
     def __gt__(self, other: "Dist") -> bool:
-        return not self.__le__(other)
+        return _coerce(other).__lt__(self)
 
     def __ge__(self, other: "Dist") -> bool:
         return not self.__lt__(other)

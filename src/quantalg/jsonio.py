@@ -29,6 +29,21 @@ def _expect(condition: bool, message: str):
         raise StructuralError(message)
 
 
+def _fields(doc, kind: str, *keys: str) -> None:
+    _expect(isinstance(doc, dict), f"{kind} document must be an object")
+    for key in keys:
+        _expect(key in doc, f"{kind} document needs {key!r}")
+
+
+def _triples(entries, list_message: str, kind: str) -> list[tuple[str, str, Dist]]:
+    _expect(isinstance(entries, list), list_message)
+    out = []
+    for entry in entries:
+        _expect(isinstance(entry, list) and len(entry) == 3, f"bad {kind} {entry!r}")
+        out.append((str(entry[0]), str(entry[1]), Dist(entry[2])))
+    return out
+
+
 def space_to_doc(space: PseudoSpace) -> dict:
     dist = [
         [x, y, str(space.dist(x, y))]
@@ -42,16 +57,8 @@ def space_parts_from_doc(doc) -> tuple[list[str], list[list[Dist]]]:
     """Points and the fully defaulted matrix, with no axiom checking."""
     _expect(isinstance(doc, dict), "space document must be an object")
     _expect(isinstance(doc.get("points"), list), "space document needs a 'points' list")
-    entries = doc.get("dist", [])
-    _expect(isinstance(entries, list), "'dist' must be a list of [x, y, d] triples")
-    triples = []
-    for entry in entries:
-        _expect(
-            isinstance(entry, list) and len(entry) == 3,
-            f"bad distance entry {entry!r}",
-        )
-        x, y, d = entry
-        triples.append((str(x), str(y), Dist(d)))
+    triples = _triples(doc.get("dist", []), "'dist' must be a list of [x, y, d] triples",
+                       "distance entry")
     return fill_matrix([str(p) for p in doc["points"]], triples)
 
 
@@ -90,9 +97,7 @@ def algebra_to_doc(algebra: QuantAlgebra) -> dict:
 
 
 def algebra_from_doc(doc) -> QuantAlgebra:
-    _expect(isinstance(doc, dict), "algebra document must be an object")
-    for key in ("space", "signature", "tables"):
-        _expect(key in doc, f"algebra document needs {key!r}")
+    _fields(doc, "algebra", "space", "signature", "tables")
     carrier = space_from_doc(doc["space"], mode="metric")
     _expect(isinstance(carrier, MetricSpace), "algebra carrier must be a metric space")
     signature = signature_from_doc(doc["signature"])
@@ -134,9 +139,7 @@ def hom_to_doc(hom: Homomorphism) -> dict:
 
 
 def hom_from_doc(doc) -> Homomorphism:
-    _expect(isinstance(doc, dict), "homomorphism document must be an object")
-    for key in ("source", "target", "map"):
-        _expect(key in doc, f"homomorphism document needs {key!r}")
+    _fields(doc, "homomorphism", "source", "target", "map")
     return Homomorphism(
         algebra_from_doc(doc["source"]),
         algebra_from_doc(doc["target"]),
@@ -144,19 +147,9 @@ def hom_from_doc(doc) -> Homomorphism:
     )
 
 
-def space_map_to_doc(m: SpaceMap) -> dict:
-    return {
-        "source": space_to_doc(m.source),
-        "target": space_to_doc(m.target),
-        "map": sorted([p, q] for p, q in m.mapping.items()),
-    }
-
-
 def map_from_doc(doc):
     """A space-level map or an algebra homomorphism, told apart by shape."""
-    _expect(isinstance(doc, dict), "map document must be an object")
-    for key in ("source", "target", "map"):
-        _expect(key in doc, f"map document needs {key!r}")
+    _fields(doc, "map", "source", "target", "map")
     if isinstance(doc["source"], dict) and "points" in doc["source"]:
         return SpaceMap(
             space_from_doc(doc["source"], mode="metric"),
@@ -201,8 +194,7 @@ def dhat_rows_from_doc(doc, base: MetricSpace) -> list[list[Dist]]:
 
 
 def subcongruence_from_doc(doc) -> Subcongruence:
-    _expect(isinstance(doc, dict), "subcongruence document must be an object")
-    _expect("base" in doc, "subcongruence document needs 'base'")
+    _fields(doc, "subcongruence", "base")
     base = space_from_doc(doc["base"], mode="metric")
     return Subcongruence(base, dhat_rows_from_doc(doc, base))
 
@@ -217,9 +209,7 @@ def equation_to_doc(eq: QuantEquation) -> dict:
 
 
 def equation_from_doc(doc) -> QuantEquation:
-    _expect(isinstance(doc, dict), "equation document must be an object")
-    for key in ("vars", "lhs", "rhs", "eps"):
-        _expect(key in doc, f"equation document needs {key!r}")
+    _fields(doc, "equation", "vars", "lhs", "rhs", "eps")
     _expect(isinstance(doc["vars"], list), "'vars' must be a list")
     return QuantEquation(
         [str(v) for v in doc["vars"]],
@@ -237,9 +227,7 @@ def variety_to_doc(variety: VarietyPresentation) -> dict:
 
 
 def variety_from_doc(doc) -> VarietyPresentation:
-    _expect(isinstance(doc, dict), "variety document must be an object")
-    for key in ("signature", "equations"):
-        _expect(key in doc, f"variety document needs {key!r}")
+    _fields(doc, "variety", "signature", "equations")
     _expect(isinstance(doc["equations"], list), "'equations' must be a list")
     return VarietyPresentation(
         signature_from_doc(doc["signature"]),
@@ -248,9 +236,4 @@ def variety_from_doc(doc) -> VarietyPresentation:
 
 
 def constraints_from_doc(doc) -> list[tuple[str, str, Dist]]:
-    _expect(isinstance(doc, list), "constraints must be a list of [x, y, eps] triples")
-    out = []
-    for entry in doc:
-        _expect(isinstance(entry, list) and len(entry) == 3, f"bad constraint {entry!r}")
-        out.append((str(entry[0]), str(entry[1]), Dist(entry[2])))
-    return out
+    return _triples(doc, "constraints must be a list of [x, y, eps] triples", "constraint")

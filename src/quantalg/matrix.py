@@ -1,0 +1,145 @@
+"""Exact integer kernel for the matrix work: the axiom and nonexpansiveness
+checks and the congruence closure.
+
+Every number these compare is a sum, minimum or maximum of input
+distances.  So the kernel scales the finite inputs once to a common
+denominator and works on plain ints, with one sentinel for infinity, and
+every comparison has the same outcome as on the exact rationals.  Dist
+appears only at the boundary (``scale`` and ``unscale``).  Matrices are
+flat row-major lists: entry (i, j) of an n x n matrix is cell i * n + j.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, ne
+from typing import Iterable, Iterator, Sequence
+
+from .distance import INF, Dist
+
+
+def scale(*matrices: Sequence[Sequence[Dist]]) -> tuple[list[list[int]], int, int]:
+    """Flatten square Dist matrices to ints over one common denominator.
+
+    Returns the flat matrices, the denominator and the sentinel for
+    infinity: (n * S + 1) * 2**n for the largest side n and the sum S of
+    the finite scaled entries.  No finite value compared reaches it.  The
+    checks compare entries and sums of two entries, at most 2S.  In the
+    closure entries only decrease; a propagation copies an entry already
+    there, and a min-plus sweep writes lengths of simple paths over at
+    most n - 1 entries present at its start.  After a sweep the finite
+    entries form shortest-path-closed components.  The sum P of their
+    diameters, at most S after the first sweep, grows only when
+    propagation bridges r components with copied entries, each at most P;
+    that multiplies P by at most r <= 2**(r - 1).  There are at most
+    n - 1 merges, so every entry stays below (n - 1) * S * 2**(n - 1) and
+    a sum of two below the sentinel.  A sum with the sentinel in it is at
+    least the sentinel, so it never lowers an entry or undercuts a finite
+    bound.
+    """
+    fracs = [[None if d.is_infinite else d.as_fraction() for row in m for d in row]
+             for m in matrices]
+    denominators = {q.denominator for cells in fracs for q in cells if q is not None}
+    unit = math.lcm(*denominators)
+    factor = {q: unit // q for q in denominators}
+    flat = [[-1 if q is None else q.numerator * factor[q.denominator] for q in cells]
+            for cells in fracs]
+    n = max(len(m) for m in matrices)
+    inf = (n * sum(v for cells in flat for v in cells if v > 0) + 1) << n
+    return [[inf if v < 0 else v for v in cells] for cells in flat], unit, inf
+
+
+def unscale(value: int, unit: int, inf: int) -> Dist:
+    """The Dist that a scaled value stands for."""
+    return INF if value >= inf else Dist(Fraction(value, unit))
+
+
+class InstanceTable:
+    """Operation instances over n points, as blocks (symbol, instances).
+
+    An instance is one pair of argument tuples whose outputs differ,
+    stored flat as (out_lr, out_rl, c_1, ..., c_k): the cells of the
+    output pair in both orders, then the cell of each coordinate pair.
+    The constructor takes each symbol's instances in chunks, as
+    ``pair_instances`` yields them.  ``len`` counts instances.
+    """
+
+    def __init__(self, n: int, blocks: Iterable[tuple[str, Iterable[list[tuple[int, ...]]]]]):
+        self.n = n
+        self.blocks = [(name, [i for chunk in chunks for i in chunk]) for name, chunks in blocks]
+
+    def __len__(self) -> int:
+        return sum(len(instances) for _, instances in self.blocks)
+
+
+def pair_instances(
+    n: int, args: Sequence[Sequence[int]], outs: Sequence[int]
+) -> Iterator[list[tuple[int, ...]]]:
+    """For each argument tuple a in order (point indices, one arity), the
+    instances pairing it with the later tuples b whose output index
+    differs."""
+    cols = list(zip(*args))  # the argument tuples, one column per position
+    scaled_outs = [o * n for o in outs]
+    for a, (oa, xs) in enumerate(zip(outs, args)):
+        b = a + 1
+        rest = outs[b:]
+        cells = [map(add, repeat(x * n), col[b:]) for x, col in zip(xs, cols)]
+        pairs = zip(map(add, repeat(oa * n), rest), map(add, scaled_outs[b:], repeat(oa)), *cells)
+        yield list(compress(pairs, map(ne, rest, repeat(oa))))
+
+
+def stretched(
+    m: list[int], inf: int, instances: Sequence[tuple[int, ...]], combiner: str = "max"
+) -> list[tuple[int, ...]]:
+    """Instances whose output entry exceeds the max (or sum) of their
+    coordinate entries."""
+    if combiner == "max":
+        # one coordinate at a time: most instances drop out at the first
+        for k in range(2, len(instances[0]) if instances else 2):
+            instances = [inst for inst in instances if m[inst[0]] > m[inst[k]]]
+        return list(instances)
+    get = m.__getitem__
+    # a sum of many finite entries may pass the sentinel, so an infinite
+    # output is tested against the coordinates being finite instead
+    return [
+        inst for inst in instances
+        if (max(map(get, inst[2:])) < inf if get(inst[0]) >= inf
+            else get(inst[0]) > sum(map(get, inst[2:])))
+    ]
+
+
+def min_plus_sweep(m: list[int], n: int, inf: int) -> bool:
+    """Replace a symmetric, zero-diagonal matrix by its shortest-path
+    closure (Floyd-Warshall); True when an entry dropped."""
+    changed = False
+    for k in range(n):
+        row_k = m[k * n:(k + 1) * n]
+        for lo in range(0, n * n, n):
+            d_ik = m[lo + k]
+            if d_ik >= inf:
+                continue
+            row_i = m[lo:lo + n]
+            new = [a if a <= b else b for a, b in zip(row_i, [d_ik + x for x in row_k])]
+            if new != row_i:
+                m[lo:lo + n] = new
+                changed = True
+    return changed
+
+
+def propagation_sweep(m: list[int], table: InstanceTable) -> bool:
+    """Lower each output pair to the maximum of its coordinate pairs, in
+    table order and reading entries as they change; True when one did."""
+    changed = False
+    get = m.__getitem__
+    for _, instances in table.blocks:
+        for inst in instances:
+            out = m[inst[0]]
+            # the first and last coordinates decide most instances cheaply
+            if m[inst[2]] < out and m[inst[-1]] < out:
+                bound = max(map(get, inst[2:]))
+                if bound < out:
+                    m[inst[0]] = m[inst[1]] = bound
+                    changed = True
+    return changed

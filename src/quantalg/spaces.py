@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .distance import INF, ZERO, Dist, dist_max
+from .distance import INF, ZERO, Dist, dist_max, dist_sum
 from .errors import InvariantError, StructuralError
+from .matrix import scale
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,23 @@ def space_violations(
     pts = list(points)
     if len(set(pts)) != len(pts):
         raise StructuralError("duplicate point identifiers")
+    return axiom_report(pts, rows, separation=mode == "metric", diagonal="d = {}, expected 0")
+
+
+def axiom_report(
+    pts: Sequence[str],
+    rows: Sequence[Sequence[Dist]],
+    upper: Sequence[Sequence[Dist]] | None = None,
+    separation: bool = False,
+    diagonal: str = "{} != 0",
+) -> list[Violation]:
+    """The one axiom checker behind both violation reports.
+
+    In order: nonzero diagonal entries (formatted by ``diagonal``); per
+    pair i < j an asymmetry, else with ``separation`` a zero, and an entry
+    above ``upper``; then the triangles through every k.  The comparisons
+    run on the scaled integer matrix, the details show the given values.
+    """
     n = len(pts)
     if len(rows) != n or any(len(row) != n for row in rows):
         raise StructuralError(f"matrix is not {n}x{n}")
@@ -52,38 +71,35 @@ def space_violations(
         for entry in row:
             if not isinstance(entry, Dist):
                 raise StructuralError(f"matrix entry {entry!r} is not a distance")
-
-    out: list[Violation] = []
-    for i in range(n):
-        if rows[i][i] != ZERO:
-            out.append(Violation("diagonal", (pts[i],), f"d = {rows[i][i]}, expected 0"))
+    scaled, _, _ = scale(rows) if upper is None else scale(rows, upper)
+    m = scaled[0]
+    out = [
+        Violation("diagonal", (pts[i],), diagonal.format(rows[i][i]))
+        for i in range(n) if m[i * n + i]
+    ]
     for i in range(n):
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                out.append(
-                    Violation(
-                        "symmetry",
-                        (pts[i], pts[j]),
-                        f"{rows[i][j]} vs {rows[j][i]}",
-                    )
-                )
-            elif mode == "metric" and rows[i][j] == ZERO:
+            d = m[i * n + j]
+            if d != m[j * n + i]:
+                out.append(Violation("symmetry", (pts[i], pts[j]), f"{rows[i][j]} vs {rows[j][i]}"))
+            elif separation and not d:
                 out.append(Violation("separation", (pts[i], pts[j]), "d = 0 for distinct points"))
+            if upper is not None and d > scaled[1][i * n + j]:
+                detail = f"{rows[i][j]} exceeds base distance {upper[i][j]}"
+                out.append(Violation("bound", (pts[i], pts[j]), detail))
+    row = [m[i * n:(i + 1) * n] for i in range(n)]
+    col = [m[j::n] for j in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            dij = rows[i][j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                through = rows[i][k] + rows[k][j]
-                if dij > through:
-                    out.append(
-                        Violation(
-                            "triangle",
-                            (pts[i], pts[k], pts[j]),
-                            f"{dij} > {rows[i][k]} + {rows[k][j]}",
-                        )
-                    )
+            d, ri, cj = row[i][j], row[i], col[j]
+            # the k = i and k = j sums are never below d, so the minimum
+            # is below d only for a genuine witness
+            if d > min(map(add, ri, cj)):
+                out.extend(
+                    Violation("triangle", (pts[i], pts[k], pts[j]),
+                              f"{rows[i][j]} > {rows[i][k]} + {rows[k][j]}")
+                    for k in range(n) if k != i and k != j and d > ri[k] + cj[k]
+                )
     return out
 
 
@@ -303,13 +319,14 @@ def metric_reflection(space: PseudoSpace) -> tuple[MetricSpace, QuotientMap]:
             if space.dist(q, p) == ZERO:
                 rep[p] = q  # points are sorted, so the first zero-mate is least
                 break
-    class_points = sorted(set(rep.values()))
-    rows = [
-        [space.dist(a, b) for b in class_points]
-        for a in class_points
-    ]
-    target = MetricSpace(class_points, rows)
+    target = subspace(space, rep.values())
     return target, QuotientMap(space, target, rep)
+
+
+def subspace(space: PseudoSpace, keep: Iterable[str]) -> MetricSpace:
+    """The given points with the distances between them."""
+    pts = sorted(set(keep))
+    return MetricSpace(pts, [[space.dist(x, y) for y in pts] for x in pts])
 
 
 def tuple_label(parts: Sequence[str]) -> str:
@@ -325,9 +342,6 @@ class ProductResult:
     factors: tuple[MetricSpace, ...]
     coords: Mapping[str, tuple[str, ...]]  # product point -> factor points
 
-    def label(self, parts: Sequence[str]) -> str:
-        return tuple_label(parts)
-
     def projections(self) -> list[SpaceMap]:
         return [
             SpaceMap(self.space, factor, {p: self.coords[p][i] for p in self.space.points})
@@ -341,15 +355,17 @@ def _combined_space(spaces: Sequence[MetricSpace], combine) -> ProductResult:
     if len(coords) != len(tuples):
         raise StructuralError("product point labels collide; rename the input points")
     labels = sorted(coords)
-    rows = []
-    for a in labels:
-        ta = coords[a]
-        row = []
-        for b in labels:
-            tb = coords[b]
-            row.append(combine(s.dist(x, y) for s, x, y in zip(spaces, ta, tb)))
-        rows.append(row)
+    rows = tuple_rows([s.dist for s in spaces], [coords[a] for a in labels], combine)
     return ProductResult(MetricSpace(labels, rows), tuple(spaces), coords)
+
+
+def tuple_rows(dists, tuples, combine=dist_max) -> list[list[Dist]]:
+    """The matrix of a list of point tuples, combining coordinatewise
+    distances (one distance function per coordinate)."""
+    return [
+        [combine(d(x, y) for d, x, y in zip(dists, ta, tb)) for tb in tuples]
+        for ta in tuples
+    ]
 
 
 def product_space(spaces: Sequence[MetricSpace]) -> ProductResult:
@@ -364,13 +380,7 @@ def product(first: MetricSpace, second: MetricSpace) -> MetricSpace:
 
 def tensor(first: MetricSpace, second: MetricSpace) -> MetricSpace:
     """Binary tensor: pairs with the addition metric (saturating)."""
-    def add_all(values):
-        total = ZERO
-        for v in values:
-            total = total + v
-        return total
-
-    return _combined_space([first, second], add_all).space
+    return _combined_space([first, second], dist_sum).space
 
 
 def coproduct(spaces: Sequence[MetricSpace]) -> tuple[MetricSpace, list[SpaceMap]]:

@@ -27,9 +27,10 @@ from .algebras import (
     product_algebra,
     subalgebra_generated,
 )
-from .congruences import PropagationRule, closure_fixpoint
+from .congruences import closure_fixpoint
 from .distance import Dist, ZERO
 from .errors import CapExceededError, StructuralError
+from .matrix import InstanceTable, pair_instances
 from .spaces import MetricSpace, PseudoSpace, make_space
 from .terms import (
     DEFAULT_TERM_CAP,
@@ -270,20 +271,16 @@ def free_in_variety_bounded(
             if eq.epsilon < matrix[i][j]:
                 matrix[i][j] = matrix[j][i] = eq.epsilon
 
-    rules: list[PropagationRule] = []
     by_head: dict[str, list[Term]] = {}
     for t in terms:
         if not t.is_generator:
             by_head.setdefault(t.head, []).append(t)
-    for head, members in sorted(by_head.items()):
-        for u, w in itertools.combinations(members, 2):
-            rules.append(
-                PropagationRule(
-                    tuple((index[a], index[b]) for a, b in zip(u.args, w.args)),
-                    index[u],
-                    index[w],
-                )
-            )
+    rules = InstanceTable(n, (
+        (head, pair_instances(
+            n, [[index[a] for a in t.args] for t in members], [index[t] for t in members]
+        ))
+        for head, members in sorted(by_head.items())
+    ))
     cap = max_passes if max_passes is not None else 16 * n * n * (1 + len(rules))
     closure_fixpoint(matrix, rules, max(cap, 1))
     return BoundedFreeAlgebra(
@@ -376,18 +373,8 @@ def counterexample_demo(size: int = 3) -> DemoReport:
     algebra = truncated_addition_monoid(size)
     sum_violations = check_op_against_combiner(algebra, "add", "sum")
     max_violations = check_op_against_combiner(algebra, "add", "max")
-    witness = None
-    for v in max_violations:
-        if {v.left, v.right} == {("0", "1"), ("1", "2")}:
-            witness = v
-            break
+    pair = {("0", "1"), ("1", "2")}
+    witness = next((v for v in max_violations if {v.left, v.right} == pair), None)
     assoc, right_unit, left_unit = monoid_equations()
-    return DemoReport(
-        size,
-        len(sum_violations),
-        len(max_violations),
-        witness,
-        satisfies(algebra, assoc).ok,
-        satisfies(algebra, left_unit).ok,
-        satisfies(algebra, right_unit).ok,
-    )
+    laws = [satisfies(algebra, eq).ok for eq in (assoc, left_unit, right_unit)]
+    return DemoReport(size, len(sum_violations), len(max_violations), witness, *laws)

@@ -3,15 +3,16 @@
 Everything here is deliberately written from the definitions, not by
 calling the code under test: repeated-relaxation shortest paths, a
 union-find congruence closure over operation tables, a brute-force search
-for the largest valid congruence matrix over a value grid, and a
-backtracking isometry search.
+for the largest valid congruence matrix over a value grid, a
+backtracking isometry search, the congruence closure and the axiom and
+nonexpansiveness reports computed directly on Dist values.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from quantalg import Dist, INF, ZERO
+from quantalg import ConvergenceError, Dist, INF, ZERO, Violation, dist_max, dist_sum
 
 
 def shortest_path_closure(rows):
@@ -192,3 +193,131 @@ def find_isometry(space_a, space_b):
         return False
 
     return dict(assigned) if extend(0) else None
+
+
+def operation_rules(algebra):
+    """Every pair of argument tuples with distinct outputs, as
+    (coordinate index pairs, left output index, right output index), in
+    signature order and lexicographic pair order."""
+    pts = list(algebra.carrier.points)
+    index = {p: i for i, p in enumerate(pts)}
+    rules = []
+    for name, arity in algebra.signature.symbols:
+        tuples = list(itertools.product(pts, repeat=arity))
+        for xs, ys in itertools.combinations(tuples, 2):
+            out_l = index[algebra.op(name, xs)]
+            out_r = index[algebra.op(name, ys)]
+            if out_l != out_r:
+                rules.append((tuple((index[x], index[y]) for x, y in zip(xs, ys)), out_l, out_r))
+    return rules
+
+
+def table_rules(table):
+    """The rules of an instance table, decoded to the form above."""
+    rules = []
+    for _, instances in table.blocks:
+        for inst in instances:
+            out_l, out_r = divmod(inst[0], table.n)
+            rules.append((tuple(divmod(c, table.n) for c in inst[2:]), out_l, out_r))
+    return rules
+
+
+def _floyd_warshall_sweep(m):
+    n = len(m)
+    changed = False
+    for k in range(n):
+        row_k = m[k]
+        for i in range(n):
+            d_ik = m[i][k]
+            if d_ik.is_infinite:
+                continue
+            row_i = m[i]
+            for j in range(n):
+                alt = d_ik + row_k[j]
+                if alt < row_i[j]:
+                    row_i[j] = alt
+                    m[j][i] = alt
+                    changed = True
+    return changed
+
+
+def _propagation_sweep(m, rules):
+    changed = False
+    for coord_pairs, out_l, out_r in rules:
+        bound = ZERO
+        for i, j in coord_pairs:
+            v = m[i][j]
+            if v > bound:
+                bound = v
+            if bound.is_infinite:
+                break
+        if bound < m[out_l][out_r]:
+            m[out_l][out_r] = bound
+            m[out_r][out_l] = bound
+            changed = True
+    return changed
+
+
+def closure_sweeps(matrix, rules, pass_cap):
+    """The congruence closure on Dist values, in place: full min-plus
+    sweeps alternating with propagation sweeps until an alternation
+    changes nothing; returns the number of alternations."""
+    passes = 0
+    while True:
+        snapshot = [row[:] for row in matrix]
+        changed = _floyd_warshall_sweep(matrix)
+        changed = _propagation_sweep(matrix, rules) or changed
+        passes += 1
+        if not changed:
+            return passes
+        if passes >= pass_cap:
+            raise ConvergenceError(passes, snapshot, [row[:] for row in matrix])
+
+
+def axiom_report(points, rows, mode=None, base=None):
+    """Metric axiom violations of a Dist matrix, checked one by one.
+
+    With ``mode`` ("metric" or "pseudo") the details are those of
+    ``space_violations``; with a ``base`` space they are those of
+    ``subcongruence_violations``, bound check included.
+    """
+    pts = list(points)
+    n = len(pts)
+    out = []
+    for i in range(n):
+        if rows[i][i] != ZERO:
+            detail = f"d = {rows[i][i]}, expected 0" if base is None else f"{rows[i][i]} != 0"
+            out.append(Violation("diagonal", (pts[i],), detail))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                out.append(Violation("symmetry", (pts[i], pts[j]), f"{rows[i][j]} vs {rows[j][i]}"))
+            elif mode == "metric" and rows[i][j] == ZERO:
+                out.append(Violation("separation", (pts[i], pts[j]), "d = 0 for distinct points"))
+            if base is not None and rows[i][j] > base.dist_at(i, j):
+                detail = f"{rows[i][j]} exceeds base distance {base.dist_at(i, j)}"
+                out.append(Violation("bound", (pts[i], pts[j]), detail))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k not in (i, j) and rows[i][j] > rows[i][k] + rows[k][j]:
+                    detail = f"{rows[i][j]} > {rows[i][k]} + {rows[k][j]}"
+                    out.append(Violation("triangle", (pts[i], pts[k], pts[j]), detail))
+    return out
+
+
+def op_report(algebra, symbol, combiner):
+    """Ordered tuple pairs, lexicographically, where the operation's output
+    distance exceeds the combined input distances, as
+    (symbol, left, right, bound, actual)."""
+    combine = dist_max if combiner == "max" else dist_sum
+    carrier = algebra.carrier
+    tuples = list(itertools.product(carrier.points, repeat=algebra.signature.arity(symbol)))
+    out = []
+    for xs in tuples:
+        for ys in tuples:
+            bound = combine(carrier.dist(x, y) for x, y in zip(xs, ys))
+            actual = carrier.dist(algebra.op(symbol, xs), algebra.op(symbol, ys))
+            if actual > bound:
+                out.append((symbol, xs, ys, bound, actual))
+    return out

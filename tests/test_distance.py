@@ -52,10 +52,20 @@ def test_helpers():
     assert dist_max([Dist(1), INF, Dist(2)]) == INF
 
 
+def _order_key(d):
+    """Position in the order of Fraction, with infinity above everything."""
+    return (1, 0) if d.is_infinite else (0, d.as_fraction())
+
+
 @given(dists, dists)
 def test_total_order(a, b):
     assert (a <= b) or (b <= a)
     assert (a <= b and b <= a) == (a == b)
+    ka, kb = _order_key(a), _order_key(b)
+    assert (a < b) == (ka < kb)
+    assert (a <= b) == (ka <= kb)
+    assert (a > b) == (ka > kb)
+    assert (a >= b) == (ka >= kb)
 
 
 @given(dists, dists, dists)

@@ -1,0 +1,272 @@
+"""Differential tests of the integer matrix kernel against Dist oracles.
+
+The closure, the axiom reports and the nonexpansiveness reports run on
+integers scaled to a common denominator; the oracles in oracles.py do the
+same work directly on Dist values.  Inputs mix pairwise-coprime
+denominators (so the common denominator is large), infinite distances
+and components that only operation propagation joins.
+"""
+
+import itertools
+import random
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import quantalg.varieties as varieties
+from quantalg import (
+    ConvergenceError,
+    Dist,
+    INF,
+    MetricSpace,
+    QuantAlgebra,
+    QuantEquation,
+    Signature,
+    VarietyPresentation,
+    ZERO,
+    check_op_against_combiner,
+    commutativity_equation,
+    free_in_variety_bounded,
+    monoid_equations,
+    op,
+    space_violations,
+    subcongruence_violations,
+    validate_algebra,
+    var,
+)
+from quantalg.algebras import operation_instances
+from quantalg.congruences import closure_fixpoint
+
+import strategies as G
+from oracles import (
+    axiom_report,
+    closure_sweeps,
+    op_report,
+    operation_rules,
+    shortest_path_closure,
+    table_rules,
+)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+PRIMES = (7, 11, 13, 17, 19, 23)
+
+
+def coprime_dist(rng):
+    return Dist(Fraction(rng.randint(1, 30), rng.choice(PRIMES)))
+
+
+def coprime_space(rng, n, components=2):
+    """Points in up to ``components`` groups at infinite distance from each
+    other; edge weights k/p over pairwise-coprime p."""
+    group = [rng.randrange(components) for _ in range(n)]
+    rows = [[ZERO if i == j else INF for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if group[i] == group[j] and rng.random() < 0.8:
+                rows[i][j] = rows[j][i] = coprime_dist(rng)
+    return MetricSpace(G.POINT_NAMES[:n], shortest_path_closure(rows))
+
+
+def random_algebra(rng, max_points=5, arities=(0, 1, 2, 2, 3)):
+    """Arbitrary tables, so operations often expand and often send one
+    component's pairs across components."""
+    n = rng.randint(1, max_points)
+    carrier = coprime_space(rng, n)
+    symbols = [(f"f{i}", rng.choice(arities)) for i in range(rng.randint(0, 2))]
+    symbols = [(name, a) for name, a in symbols if n ** (2 * a) <= 4096]
+    pts = carrier.points
+    tables = {
+        name: {xs: rng.choice(pts) for xs in itertools.product(pts, repeat=a)}
+        for name, a in symbols
+    }
+    return QuantAlgebra(carrier, Signature(symbols), tables)
+
+
+def lowered(rng, space):
+    """The carrier metric lowered by a few constraints, as the closure
+    receives it."""
+    m = [list(row) for row in space.rows]
+    for _ in range(rng.randint(0, 3)):
+        if space.n < 2:
+            break
+        i, j = rng.sample(range(space.n), 2)
+        eps = ZERO if rng.random() < 0.3 else coprime_dist(rng)
+        if eps < m[i][j]:
+            m[i][j] = m[j][i] = eps
+    return m
+
+
+def copy(m):
+    return [list(row) for row in m]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_closure_matches_dist_oracle(seed):
+    rng = random.Random(seed)
+    algebra = random_algebra(rng)
+    start = lowered(rng, algebra.carrier)
+    table = operation_instances(algebra)
+    rules = operation_rules(algebra)
+    assert table_rules(table) == rules
+    assert len(table) == len(rules)
+    ours, ref = copy(start), copy(start)
+    assert closure_fixpoint(ours, table, 10_000) == closure_sweeps(ref, rules, 10_000)
+    assert ours == ref
+
+
+def test_closure_joins_components_only_through_propagation():
+    space = MetricSpace(
+        ["a", "b", "c", "d"],
+        [
+            [ZERO, Dist("3/7"), INF, INF],
+            [Dist("3/7"), ZERO, INF, INF],
+            [INF, INF, ZERO, Dist("5/11")],
+            [INF, INF, Dist("5/11"), ZERO],
+        ],
+    )
+    f = {("a",): "a", ("b",): "c", ("c",): "c", ("d",): "d"}
+    algebra = QuantAlgebra(space, Signature([("f", 1)]), {"f": f})
+    start = copy(space.rows)
+    start[0][1] = start[1][0] = Dist("1/13")
+    ours, ref = copy(start), copy(start)
+    table = operation_instances(algebra)
+    passes = closure_fixpoint(ours, table, 100)
+    assert passes == closure_sweeps(ref, operation_rules(algebra), 100)
+    assert ours == ref
+    assert ours[0][2] == Dist("1/13")  # f(a) = a and f(b) = c
+    assert ours[0][3] == Dist("1/13") + Dist("5/11")
+
+
+def test_small_pass_cap_raises_with_dist_snapshots():
+    space = MetricSpace(
+        ["a", "b", "c"],
+        [[ZERO, Dist(4), Dist(4)], [Dist(4), ZERO, Dist(4)], [Dist(4), Dist(4), ZERO]],
+    )
+    algebra = QuantAlgebra(space, Signature([]), {})
+    start = copy(space.rows)
+    start[0][1] = start[1][0] = Dist("1/7")
+    start[1][2] = start[2][1] = Dist("1/11")
+    table = operation_instances(algebra)
+    ours, ref = copy(start), copy(start)
+    with pytest.raises(ConvergenceError) as got:
+        closure_fixpoint(ours, table, 1)
+    with pytest.raises(ConvergenceError) as want:
+        closure_sweeps(ref, [], 1)
+    assert got.value.passes == want.value.passes == 1
+    assert got.value.previous == want.value.previous == start
+    assert got.value.current == want.value.current == ours == ref
+    assert all(isinstance(d, Dist) for row in got.value.previous + got.value.current for d in row)
+
+
+FREE_CASES = [
+    (
+        Signature([("add", 2), ("e", 0), ("s", 1)]),
+        1,
+        lambda eps: monoid_equations()[1:] + [
+            commutativity_equation(eps[0]),
+            QuantEquation(("x",), op("s", var("x")), var("x"), eps[1]),
+        ],
+    ),
+    (
+        Signature([("s", 1), ("e", 0)]),
+        3,
+        lambda eps: [
+            QuantEquation(("x",), op("s", op("s", var("x"))), var("x"), eps[0]),
+            QuantEquation(("x",), op("s", var("x")), op("e"), eps[1]),
+        ],
+    ),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds)
+def test_closure_matches_dist_oracle_on_free_algebra_rules(seed):
+    rng = random.Random(seed)
+    signature, depth, equations = FREE_CASES[rng.randrange(len(FREE_CASES))]
+    variety = VarietyPresentation(signature, equations([coprime_dist(rng), coprime_dist(rng)]))
+    space = coprime_space(rng, rng.randint(1, 3))
+    calls = []
+    real = varieties.closure_fixpoint
+
+    def spy(matrix, rules, pass_cap):
+        start = copy(matrix)
+        passes = real(matrix, rules, pass_cap)
+        calls.append((start, rules, pass_cap, passes))
+        return passes
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(varieties, "closure_fixpoint", spy)
+        free = free_in_variety_bounded(variety, space, depth)
+    (start, table, cap, passes), = calls
+    ref = copy(start)
+    assert closure_sweeps(ref, table_rules(table), cap) == passes
+    assert [list(row) for row in free.matrix] == ref
+
+
+def raw_matrix(rng, n):
+    """A metric closed under shortest paths, then a few random breakages:
+    asymmetry, a nonzero diagonal, a zero, a raised or an infinite entry."""
+    m = copy(coprime_space(rng, n).rows)
+    for _ in range(rng.choice((0, 0, 1, 2, 4))):
+        if n == 0:
+            break
+        i, j = rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(4)
+        value = (coprime_dist(rng), ZERO, INF, m[i][j] + coprime_dist(rng))[kind]
+        m[i][j] = value
+        if rng.random() < 0.5:
+            m[j][i] = value
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_axiom_reports_match_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 6)
+    pts = G.POINT_NAMES[:n]
+    rows = raw_matrix(rng, n)
+    for mode in ("metric", "pseudo"):
+        assert space_violations(pts, rows, mode) == axiom_report(pts, rows, mode=mode)
+    base = coprime_space(rng, n)
+    assert subcongruence_violations(base, rows) == axiom_report(pts, rows, base=base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_nonexpansiveness_reports_match_oracle(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        algebra = G.rand_valid_algebra(rng, max_points=4, max_arity=3)
+    else:
+        algebra = random_algebra(rng, max_points=4)
+    names = [name for name, _ in algebra.signature.symbols]
+    report = [(v.symbol, v.left, v.right, v.bound, v.actual) for v in validate_algebra(algebra)]
+    assert report == [row for name in names for row in op_report(algebra, name, "max")]
+    for name in names:
+        for combiner in ("max", "sum"):
+            got = check_op_against_combiner(algebra, name, combiner)
+            assert [(v.symbol, v.left, v.right, v.bound, v.actual) for v in got] == op_report(
+                algebra, name, combiner
+            )
+
+
+def test_validation_holds_one_chunk_of_instances_at_a_time():
+    # f(x, y) = x on 20 points at distance 1: valid, and 20^4/2 argument
+    # pairs, almost all with distinct outputs.  The whole instance table
+    # takes about 9 MB; validation keeps one first argument's instances.
+    pts = [f"p{i:02d}" for i in range(20)]
+    space = MetricSpace(pts, [[ZERO if x == y else Dist(1) for y in pts] for x in pts])
+    algebra = QuantAlgebra(space, Signature([("f", 2)]), {"f": {(x, y): x for x in pts for y in pts}})
+    assert len(operation_instances(algebra)) > 75_000
+    tracemalloc.start()
+    try:
+        assert validate_algebra(algebra) == []
+        assert check_op_against_combiner(algebra, "f", "sum") == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
