@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .distance import Dist, dist_max, dist_sum
-from .errors import CapExceededError, InvariantError, StructuralError
+from .errors import CapExceededError, Frozen, InvariantError, StructuralError
 from .matrix import InstanceTable, pair_instances, scale, stretched
 from .spaces import MetricSpace, SpaceMap, product_space, subspace, tuple_label
 from .terms import Signature
@@ -40,7 +41,7 @@ class OpViolation:
         )
 
 
-class QuantAlgebra:
+class QuantAlgebra(Frozen):
     """A finite algebra on a metric space, with explicit operation tables."""
 
     __slots__ = ("carrier", "signature", "tables")
@@ -71,12 +72,14 @@ class QuantAlgebra:
         extra = set(tables) - set(signature.names)
         if extra:
             raise StructuralError(f"tables given for unknown symbols {sorted(extra)}")
+        self._set(carrier, signature, cleaned)
+
+    def _set(self, carrier: MetricSpace, signature: Signature, tables) -> None:
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "tables", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuantAlgebra is immutable")
+        object.__setattr__(self, "tables", MappingProxyType(
+            {name: MappingProxyType(dict(table)) for name, table in tables.items()}
+        ))
 
     def op(self, name: str, args: Sequence[str]) -> str:
         try:
@@ -225,7 +228,7 @@ def hom_violations(
     return problems
 
 
-class Homomorphism:
+class Homomorphism(Frozen):
     """A nonexpanding, structure-preserving map between algebras."""
 
     __slots__ = ("source", "target", "mapping")
@@ -234,12 +237,12 @@ class Homomorphism:
         problems = hom_violations(source, target, mapping)
         if problems:
             raise InvariantError("not a homomorphism", problems)
+        self._set(source, target, mapping)
+
+    def _set(self, source: QuantAlgebra, target: QuantAlgebra, mapping: Mapping[str, str]) -> None:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "mapping", dict(mapping))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Homomorphism is immutable")
+        object.__setattr__(self, "mapping", MappingProxyType(dict(mapping)))
 
     def __call__(self, point: str) -> str:
         return self.mapping[point]
@@ -251,12 +254,12 @@ class Homomorphism:
         return self.as_space_map().is_isometric_embedding()
 
     def as_space_map(self) -> SpaceMap:
-        return SpaceMap(self.source.carrier, self.target.carrier, dict(self.mapping))
+        return SpaceMap(self.source.carrier, self.target.carrier, self.mapping)
 
     def compose(self, then: "Homomorphism") -> "Homomorphism":
         if then.source != self.target:
             raise StructuralError("composition mismatch")
-        return Homomorphism(
+        return Homomorphism._derived(
             self.source, then.target, {p: then.mapping[q] for p, q in self.mapping.items()}
         )
 
@@ -265,7 +268,7 @@ class Homomorphism:
 
 
 def identity_hom(algebra: QuantAlgebra) -> Homomorphism:
-    return Homomorphism(algebra, algebra, {p: p for p in algebra.carrier.points})
+    return Homomorphism._derived(algebra, algebra, {p: p for p in algebra.carrier.points})
 
 
 def hom_distance(f: Homomorphism, g: Homomorphism) -> Dist:
@@ -294,9 +297,9 @@ def product_algebra(
     tables = op_tables(signature, labels, lambda name, key: tuple_label(tuple(
         a.op(name, tuple(coords[k][i] for k in key)) for i, a in enumerate(algebras)
     )))
-    out = QuantAlgebra(prod.space, signature, tables)
+    out = QuantAlgebra._derived(prod.space, signature, tables)
     projections = [
-        Homomorphism(out, a, {p: coords[p][i] for p in labels})
+        Homomorphism._derived(out, a, {p: coords[p][i] for p in labels})
         for i, a in enumerate(algebras)
     ]
     return out, projections
@@ -325,8 +328,8 @@ def subalgebra_generated(
         current |= added
     sub_carrier = subspace(algebra.carrier, current)
     tables = op_tables(algebra.signature, sub_carrier.points, algebra.op)
-    sub = QuantAlgebra(sub_carrier, algebra.signature, tables)
-    inclusion = Homomorphism(sub, algebra, {p: p for p in sub_carrier.points})
+    sub = QuantAlgebra._derived(sub_carrier, algebra.signature, tables)
+    inclusion = Homomorphism._derived(sub, algebra, {p: p for p in sub_carrier.points})
     return sub, inclusion
 
 
@@ -347,11 +350,11 @@ def image_factorize(f: Homomorphism) -> tuple[Homomorphism, Homomorphism]:
         [target.carrier.dist(value_of_rep[a], value_of_rep[b]) for b in reps]
         for a in reps
     ]
-    image_carrier = MetricSpace(reps, rows)
+    image_carrier = MetricSpace._derived(reps, rows)
     tables = op_tables(source.signature, reps, lambda name, xs: rep_of_value[
         target.op(name, tuple(value_of_rep[x] for x in xs))  # image is op-closed
     ])
-    image = QuantAlgebra(image_carrier, source.signature, tables)
-    onto = Homomorphism(source, image, {p: rep_of_value[f(p)] for p in source.carrier.points})
-    embed = Homomorphism(image, target, value_of_rep)
+    image = QuantAlgebra._derived(image_carrier, source.signature, tables)
+    onto = Homomorphism._derived(source, image, {p: rep_of_value[v] for p, v in f.mapping.items()})
+    embed = Homomorphism._derived(image, target, value_of_rep)
     return onto, embed

@@ -59,7 +59,7 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise StructuralError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or a number past the int digit limit
         raise StructuralError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -144,11 +144,19 @@ def _cmd_in_variety(args, rep: Reporter) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _classes_doc(qmap) -> list[dict]:
+def _classes_doc(classes: dict[str, list[str]]) -> list[dict]:
     return [
         {"representative": rep_, "members": members}
-        for rep_, members in sorted(qmap.classes().items())
+        for rep_, members in sorted(classes.items())
     ]
+
+
+def _fibers(onto) -> dict[str, list[str]]:
+    """Image point -> the source points sent to it, in point order."""
+    classes: dict[str, list[str]] = {}
+    for p in onto.source.carrier.points:
+        classes.setdefault(onto(p), []).append(p)
+    return classes
 
 
 def _classes_lines(classes: dict[str, list[str]]) -> list[str]:
@@ -176,14 +184,14 @@ def _cmd_quotient(args, rep: Reporter) -> int:
     algebra = require_valid(jsonio.algebra_from_doc(_load_json(args.algebra)))
     constraints = jsonio.constraints_from_doc(_load_json(args.constraints))
     cong = generated_congruence(algebra, constraints, max_passes=args.max_passes)
-    quotient, _ = quotient_algebra(cong)
-    _, qmap = colimit(cong.sub)
+    quotient, onto = quotient_algebra(cong)
+    classes = _fibers(onto)
     data = {
         "dhat": jsonio.subcongruence_to_doc(cong.sub),
         "quotient": jsonio.algebra_to_doc(quotient),
-        "classes": _classes_doc(qmap),
+        "classes": _classes_doc(classes),
     }
-    rep.emit(True, data, _classes_lines(qmap.classes()))
+    rep.emit(True, data, _classes_lines(classes))
     return EXIT_OK
 
 
@@ -191,21 +199,18 @@ def _cmd_coequalize(args, rep: Reporter) -> int:
     f = jsonio.hom_from_doc(_load_json(args.first))
     g = jsonio.hom_from_doc(_load_json(args.second))
     quotient, onto = coequalizer(f, g, max_passes=args.max_passes)
-    classes = {}
-    for p in onto.source.carrier.points:
-        classes.setdefault(onto(p), []).append(p)
     data = {
         "quotient": jsonio.algebra_to_doc(quotient),
         "map": sorted([p, q] for p, q in onto.mapping.items()),
     }
-    rep.emit(True, data, _classes_lines(classes))
+    rep.emit(True, data, _classes_lines(_fibers(onto)))
     return EXIT_OK
 
 
 def _cmd_colimit(args, rep: Reporter) -> int:
     sub = jsonio.subcongruence_from_doc(_load_json(args.subcongruence))
     space, qmap = colimit(sub)
-    data = {"space": jsonio.space_to_doc(space), "classes": _classes_doc(qmap)}
+    data = {"space": jsonio.space_to_doc(space), "classes": _classes_doc(qmap.classes())}
     rep.emit(True, data, _classes_lines(qmap.classes()))
     return EXIT_OK
 

@@ -16,11 +16,11 @@ propagation until a full alternation changes nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebras import DEFAULT_PAIR_CAP, Homomorphism, QuantAlgebra, op_tables, operation_instances
 from .distance import Dist, ZERO, dist_max
-from .errors import ConvergenceError, InvariantError, StructuralError
+from .errors import ConvergenceError, Frozen, InvariantError, StructuralError
 from .matrix import InstanceTable, min_plus_sweep, propagation_sweep, scale, stretched, unscale
 from .spaces import (
     MetricSpace,
@@ -44,7 +44,7 @@ def subcongruence_violations(
     return axiom_report(base.points, dhat, upper=base.rows)
 
 
-class Subcongruence:
+class Subcongruence(Frozen):
     """A pseudometric matrix below the base metric of a finite space."""
 
     __slots__ = ("base", "dhat")
@@ -53,17 +53,17 @@ class Subcongruence:
         report = subcongruence_violations(base, dhat)
         if report:
             raise InvariantError("not a subcongruence", report)
+        self._set(base, dhat)
+
+    def _set(self, base: MetricSpace, dhat: Sequence[Sequence[Dist]]) -> None:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "dhat", tuple(tuple(row) for row in dhat))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subcongruence is immutable")
 
     def d(self, x: str, y: str) -> Dist:
         return self.dhat[self.base.index(x)][self.base.index(y)]
 
     def as_pseudo_space(self) -> PseudoSpace:
-        return PseudoSpace(self.base.points, self.dhat)
+        return PseudoSpace._derived(self.base.points, self.dhat)
 
     def sublevel(self, epsilon: Dist) -> "PairRelation":
         """The relation at one threshold, with its two projections."""
@@ -79,7 +79,7 @@ class Subcongruence:
 
 
 def identity_subcongruence(base: MetricSpace) -> Subcongruence:
-    return Subcongruence(base, base.rows)
+    return Subcongruence._derived(base, base.rows)
 
 
 @dataclass(frozen=True)
@@ -97,19 +97,15 @@ def _pair_relation(base: MetricSpace, related) -> PairRelation:
     pairs = [(x, y) for x in base.points for y in base.points if related(x, y)]
     labels = sorted(tuple_label(p) for p in pairs)
     by_label = {tuple_label(p): p for p in pairs}
-    space = MetricSpace(labels, tuple_rows([base.dist] * 2, [by_label[a] for a in labels]))
+    space = MetricSpace._derived(labels, tuple_rows([base.dist] * 2, [by_label[a] for a in labels]))
     left = SpaceMap(space, base, {lab: by_label[lab][0] for lab in labels})
     right = SpaceMap(space, base, {lab: by_label[lab][1] for lab in labels})
     return PairRelation(tuple(sorted(pairs)), space, left, right)
 
 
-def _as_map(f) -> tuple[PseudoSpace, PseudoSpace, Mapping[str, str]]:
-    if isinstance(f, Homomorphism):
-        return f.source.carrier, f.target.carrier, f.mapping
-    if isinstance(f, SpaceMap):
-        return f.source, f.target, f.mapping
-    if isinstance(f, QuotientMap):
-        return f.source, f.target, f.class_of
+def _as_map(f) -> SpaceMap:
+    if isinstance(f, (Homomorphism, SpaceMap)):
+        return f.as_space_map()
     raise StructuralError(f"not a map between spaces: {f!r}")
 
 
@@ -119,27 +115,23 @@ def epsilon_kernel_pair(f, epsilon) -> PairRelation:
     The relation carries the maximum-metric subspace structure of the
     square of the source.
     """
-    source, target, mapping = _as_map(f)
+    m = _as_map(f)
     eps = Dist(epsilon)
-    if not isinstance(source, MetricSpace):
+    if not isinstance(m.source, MetricSpace):
         raise StructuralError("kernel pairs need a metric source")
-    return _pair_relation(source, lambda x, y: target.dist(mapping[x], mapping[y]) <= eps)
+    return _pair_relation(m.source, lambda x, y: m.target.dist(m(x), m(y)) <= eps)
 
 
 def kernel_subcongruence(f) -> Subcongruence:
     """The matrix of image distances; its sublevels are the kernel pairs."""
-    source, target, mapping = _as_map(f)
-    if not isinstance(source, MetricSpace):
+    m = _as_map(f)
+    if not isinstance(m.source, MetricSpace):
         raise StructuralError("kernel subcongruences need a metric source")
-    sm = SpaceMap(source, target, dict(mapping))
-    witness = sm.expansion_witness()
+    witness = m.expansion_witness()
     if witness is not None:
         raise StructuralError(f"map expands the pair {witness}; not nonexpanding")
-    rows = [
-        [target.dist(mapping[x], mapping[y]) for y in source.points]
-        for x in source.points
-    ]
-    return Subcongruence(source, rows)
+    pts = m.source.points
+    return Subcongruence._derived(m.source, [[m.target.dist(m(x), m(y)) for y in pts] for x in pts])
 
 
 def colimit(sub: Subcongruence) -> tuple[MetricSpace, QuotientMap]:
@@ -165,9 +157,7 @@ def check_effectivity(sub: Subcongruence) -> EffectivityResult:
     map, so a nonempty discrepancy list indicates an implementation bug.
     """
     space, qmap = colimit(sub)
-    recovered = kernel_subcongruence(
-        SpaceMap(sub.base, space, dict(qmap.class_of))
-    )
+    recovered = kernel_subcongruence(SpaceMap(sub.base, space, qmap.mapping))
     bad = tuple(
         (x, y, sub.d(x, y), recovered.d(x, y))
         for x, y in sub.base.point_pairs()
@@ -181,7 +171,7 @@ def product_subcongruence(s1: Subcongruence, s2: Subcongruence) -> Subcongruence
     product of the component colimits."""
     prod = product_space([s1.base, s2.base])
     rows = tuple_rows([s1.d, s2.d], [prod.coords[a] for a in prod.space.points])
-    return Subcongruence(prod.space, rows)
+    return Subcongruence._derived(prod.space, rows)
 
 
 def closure_fixpoint(matrix: list[list[Dist]], rules: InstanceTable, pass_cap: int) -> int:
@@ -189,10 +179,16 @@ def closure_fixpoint(matrix: list[list[Dist]], rules: InstanceTable, pass_cap: i
 
     The matrix must be symmetric with a zero diagonal.  Stops after a full
     alternation with zero changes; returns the number of alternations.
-    Termination of the alternation in exact arithmetic is unproven, so a
-    pass cap guards against silent divergence.  The sweeps run on the
-    scaled integer matrix; the caller's matrix gets the changed entries
-    back as Dist.
+    The sweeps run on the scaled integer matrix; the caller's matrix gets
+    the changed entries back as Dist.
+
+    The alternation terminates.  Entries only decrease, and every finite
+    entry is a sum of entries of the input matrix: a min-plus step writes
+    the sum of two entries, a propagation step copies one.  Below any
+    bound there are only finitely many such sums, because each nonzero
+    input entry is at least the least of them.  So every entry changes
+    finitely often, and every pass but the last changes one.  The pass cap
+    is a budget on the work, not a guard of soundness.
     """
     n = len(matrix)
     (m,), unit, inf = scale(matrix)
@@ -215,7 +211,7 @@ def closure_fixpoint(matrix: list[list[Dist]], rules: InstanceTable, pass_cap: i
     raise ConvergenceError(passes, previous, [row[:] for row in matrix])
 
 
-class CongruenceOnAlgebra:
+class CongruenceOnAlgebra(Frozen):
     """A subcongruence on an algebra's carrier that the operations respect."""
 
     __slots__ = ("algebra", "sub")
@@ -223,16 +219,14 @@ class CongruenceOnAlgebra:
     def __init__(self, algebra: QuantAlgebra, sub: Subcongruence, max_pairs: int = DEFAULT_PAIR_CAP):
         if sub.base != algebra.carrier:
             raise StructuralError("subcongruence base differs from the carrier")
-        self._adopt(algebra, sub, compatibility_violations(algebra, sub, max_pairs))
-
-    def _adopt(self, algebra: QuantAlgebra, sub: Subcongruence, bad: list[Violation]) -> None:
+        bad = compatibility_violations(algebra, sub, max_pairs)
         if bad:
             raise InvariantError("operations do not respect the matrix", bad)
+        self._set(algebra, sub)
+
+    def _set(self, algebra: QuantAlgebra, sub: Subcongruence) -> None:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "sub", sub)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CongruenceOnAlgebra is immutable")
 
     def __repr__(self) -> str:
         return f"CongruenceOnAlgebra({self.algebra!r})"
@@ -243,12 +237,7 @@ def compatibility_violations(
 ) -> list[Violation]:
     """Tuple pairs where an operation stretches d-hat beyond the maximum of
     the coordinate d-hat distances."""
-    return _compatibility_report(algebra, sub, operation_instances(algebra, max_pairs))
-
-
-def _compatibility_report(
-    algebra: QuantAlgebra, sub: Subcongruence, table: InstanceTable
-) -> list[Violation]:
+    table = operation_instances(algebra, max_pairs)
     (m,), _, inf = scale(sub.dhat)
     n, pts = table.n, algebra.carrier.points
     out: list[Violation] = []
@@ -273,7 +262,9 @@ def generated_congruence(
     Starts from the carrier metric lowered by the constraints and
     alternates min-plus closure with operation propagation to the greatest
     fixpoint.  The result is idempotent: feeding its own values back as
-    constraints changes nothing.
+    constraints changes nothing.  A fixpoint of both sweeps satisfies the
+    triangle inequality and respects every operation, so it is not checked
+    again.
     """
     carrier = algebra.carrier
     m = [list(row) for row in carrier.rows]
@@ -286,10 +277,7 @@ def generated_congruence(
     n = carrier.n
     cap = max_passes if max_passes is not None else 16 * n * n * (1 + algebra.table_size())
     closure_fixpoint(m, rules, max(cap, 1))
-    sub = Subcongruence(carrier, m)
-    cong = object.__new__(CongruenceOnAlgebra)  # checked on the table the closure used
-    cong._adopt(algebra, sub, _compatibility_report(algebra, sub, rules))
-    return cong
+    return CongruenceOnAlgebra._derived(algebra, Subcongruence._derived(carrier, m))
 
 
 def quotient_algebra(cong: CongruenceOnAlgebra) -> tuple[QuantAlgebra, Homomorphism]:
@@ -301,13 +289,11 @@ def quotient_algebra(cong: CongruenceOnAlgebra) -> tuple[QuantAlgebra, Homomorph
     """
     algebra = cong.algebra
     space, qmap = colimit(cong.sub)
-    class_of = qmap.class_of
-    tables = op_tables(algebra.signature, space.points, lambda name, reps: class_of[
+    tables = op_tables(algebra.signature, space.points, lambda name, reps: qmap(
         algebra.op(name, reps)
-    ])
-    quotient = QuantAlgebra(space, algebra.signature, tables)
-    onto = Homomorphism(algebra, quotient, dict(class_of))
-    return quotient, onto
+    ))
+    quotient = QuantAlgebra._derived(space, algebra.signature, tables)
+    return quotient, Homomorphism._derived(algebra, quotient, qmap.mapping)
 
 
 def coequalizer(
@@ -340,28 +326,27 @@ def universal_property_check(sub: Subcongruence, q, candidate) -> UniversalCheck
     constructed and checked nonexpanding; failures report why q is not a
     colimit map.
     """
-    q_src, q_tgt, q_map = _as_map(q)
-    c_src, c_tgt, c_map = _as_map(candidate)
-    if set(q_src.points) != set(sub.base.points) or set(c_src.points) != set(sub.base.points):
+    q, c = _as_map(q), _as_map(candidate)
+    if set(q.source.points) != set(sub.base.points) or set(c.source.points) != set(sub.base.points):
         raise StructuralError("maps must start from the subcongruence base")
     for x, y in sub.base.point_pairs():
-        if c_tgt.dist(c_map[x], c_map[y]) > sub.d(x, y):
+        if c.target.dist(c(x), c(y)) > sub.d(x, y):
             return UniversalCheck(False, None, "candidate violates the compatibility bound", (x, y))
     factor: dict[str, str] = {}
     definer: dict[str, str] = {}
     for x in sub.base.points:
-        image = q_map[x]
-        value = c_map[x]
+        image = q(x)
+        value = c(x)
         if image in factor and factor[image] != value:
             return UniversalCheck(
                 False, None, "candidate is not constant on the fibers of q", (definer[image], x)
             )
         factor.setdefault(image, value)
         definer.setdefault(image, x)
-    missing = [p for p in q_tgt.points if p not in factor]
+    missing = [p for p in q.target.points if p not in factor]
     if missing:
         return UniversalCheck(False, None, "q is not surjective onto its target", tuple(missing))
-    h = SpaceMap(q_tgt, c_tgt, factor)
+    h = SpaceMap(q.target, c.target, factor)
     witness = h.expansion_witness()
     if witness is not None:
         return UniversalCheck(False, None, "induced factor is not nonexpanding", witness)

@@ -13,13 +13,18 @@ from .errors import StructuralError
 
 _INF_MARK = object()
 
+# Literals (strings and ints) may not have a numerator or denominator
+# longer than this: far below the size at which Python refuses to print
+# an int in decimal.
+MAX_LITERAL_BITS = 256
+
 
 class Dist:
     """A nonnegative exact rational distance, or infinity.
 
     Accepts int, Fraction, another Dist, or a string literal: "p/q", a
     plain integer string, or "inf".  Floats are rejected to keep all
-    arithmetic exact.
+    arithmetic exact, and literals beyond MAX_LITERAL_BITS as too large.
     """
 
     __slots__ = ("_frac",)
@@ -40,12 +45,16 @@ class Dist:
             if text in ("inf", "INF", "Inf", "infinity"):
                 object.__setattr__(self, "_frac", None)
                 return
+            if len(text.lower().partition("e")[2].lstrip("+-0")) > 5:
+                raise _too_large(value)  # Fraction would build 10**exponent in full
             try:
-                frac = Fraction(text)
+                frac = _bounded(Fraction(text), value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise StructuralError(f"bad distance literal {value!r}") from exc
-        elif isinstance(value, (int, Fraction)):
-            frac = Fraction(value)
+        elif isinstance(value, int):
+            frac = _bounded(Fraction(value), value)
+        elif isinstance(value, Fraction):
+            frac = value
         else:
             raise StructuralError(f"unsupported distance value {value!r}")
         if frac < 0:
@@ -110,6 +119,19 @@ class Dist:
 
     def __repr__(self) -> str:
         return f"Dist({str(self)!r})"
+
+
+def _too_large(value) -> StructuralError:
+    return StructuralError(
+        f"distance literal {value!r} is too large: numerator and denominator "
+        f"are limited to {MAX_LITERAL_BITS} bits"
+    )
+
+
+def _bounded(frac: Fraction, value) -> Fraction:
+    if max(frac.numerator.bit_length(), frac.denominator.bit_length()) > MAX_LITERAL_BITS:
+        raise _too_large(value)
+    return frac
 
 
 def _coerce(value) -> Dist:

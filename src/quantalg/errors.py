@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the immutable base of
+the validated value types.
 
 Structural problems (malformed input data) are kept distinct from semantic
 violations (well-formed data that breaks an axiom): the former raise
@@ -33,6 +34,27 @@ class InvariantError(QuantalgError):
         if len(self.violations) > 10:
             lines.append(f"  ... {len(self.violations) - 10} more")
         return "\n".join(lines)
+
+
+class Frozen:
+    """Immutable value whose public constructor checks its invariants.
+
+    A subclass stores its fields in ``_set``; its ``__init__`` checks the
+    data and then calls ``_set``.  ``_derived`` calls ``_set`` alone, for
+    constructions whose result holds the invariants by construction, so
+    data is checked where it enters the program and nowhere else.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _derived(cls, *args):
+        self = object.__new__(cls)
+        self._set(*args)
+        return self
 
 
 class CapExceededError(QuantalgError):

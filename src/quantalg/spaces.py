@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .distance import INF, ZERO, Dist, dist_max, dist_sum
-from .errors import InvariantError, StructuralError
+from .errors import Frozen, InvariantError, StructuralError
 from .matrix import scale
 
 
@@ -103,7 +104,7 @@ def axiom_report(
     return out
 
 
-class PseudoSpace:
+class PseudoSpace(Frozen):
     """Finite pseudometric space: distance zero may identify distinct points."""
 
     _MODE = "pseudo"
@@ -117,12 +118,13 @@ class PseudoSpace:
         report = space_violations(pts, rows, mode=self._MODE)
         if report:
             raise InvariantError(f"not a valid {self._MODE} space", report)
+        self._set(pts, rows)
+
+    def _set(self, points: Sequence[str], rows: Sequence[Sequence[Dist]]) -> None:
+        pts = tuple(points)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(pts)})
         object.__setattr__(self, "_rows", tuple(tuple(row) for row in rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n(self) -> int:
@@ -232,6 +234,7 @@ class SpaceMap:
     mapping: Mapping[str, str]
 
     def __post_init__(self):
+        object.__setattr__(self, "mapping", MappingProxyType(dict(self.mapping)))
         for p in self.source.points:
             if p not in self.mapping:
                 raise StructuralError(f"map undefined on point {p!r}")
@@ -263,25 +266,21 @@ class SpaceMap:
     def is_surjective(self) -> bool:
         return set(self.mapping.values()) == set(self.target.points)
 
+    def as_space_map(self) -> "SpaceMap":
+        return self
 
-class QuotientMap:
+
+class QuotientMap(SpaceMap):
     """A distance-preserving surjection onto a metric space."""
 
-    __slots__ = ("source", "target", "class_of")
-
     def __init__(self, source: PseudoSpace, target: MetricSpace, class_of: Mapping[str, str]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "class_of", dict(class_of))
-        missing = [p for p in source.points if p not in self.class_of]
-        if missing:
-            raise StructuralError(f"quotient map undefined on {missing}")
-        if set(self.class_of.values()) != set(target.points):
+        super().__init__(source, target, class_of)
+        if not self.is_surjective():
             raise StructuralError("quotient map is not surjective onto the target")
         bad = [
             (x, y)
             for x, y in itertools.combinations(source.points, 2)
-            if target.dist(self.class_of[x], self.class_of[y]) != source.dist(x, y)
+            if target.dist(self(x), self(y)) != source.dist(x, y)
         ]
         if bad:
             raise InvariantError(
@@ -289,23 +288,16 @@ class QuotientMap:
                 [Violation("quotient", pair, "image distance differs") for pair in bad],
             )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientMap is immutable")
-
-    def __call__(self, point: str) -> str:
-        return self.class_of[point]
+    @property
+    def class_of(self) -> Mapping[str, str]:
+        return self.mapping
 
     def classes(self) -> dict[str, list[str]]:
         """Target point -> sorted members of its fiber."""
         out: dict[str, list[str]] = {q: [] for q in self.target.points}
         for p in self.source.points:
-            out[self.class_of[p]].append(p)
-        for members in out.values():
-            members.sort()
+            out[self(p)].append(p)
         return out
-
-    def as_space_map(self) -> SpaceMap:
-        return SpaceMap(self.source, self.target, dict(self.class_of))
 
 
 def metric_reflection(space: PseudoSpace) -> tuple[MetricSpace, QuotientMap]:
@@ -324,9 +316,10 @@ def metric_reflection(space: PseudoSpace) -> tuple[MetricSpace, QuotientMap]:
 
 
 def subspace(space: PseudoSpace, keep: Iterable[str]) -> MetricSpace:
-    """The given points with the distances between them."""
+    """The given points with the distances between them; no two of them
+    may be at distance zero."""
     pts = sorted(set(keep))
-    return MetricSpace(pts, [[space.dist(x, y) for y in pts] for x in pts])
+    return MetricSpace._derived(pts, [[space.dist(x, y) for y in pts] for x in pts])
 
 
 def tuple_label(parts: Sequence[str]) -> str:
@@ -356,7 +349,7 @@ def _combined_space(spaces: Sequence[MetricSpace], combine) -> ProductResult:
         raise StructuralError("product point labels collide; rename the input points")
     labels = sorted(coords)
     rows = tuple_rows([s.dist for s in spaces], [coords[a] for a in labels], combine)
-    return ProductResult(MetricSpace(labels, rows), tuple(spaces), coords)
+    return ProductResult(MetricSpace._derived(labels, rows), tuple(spaces), coords)
 
 
 def tuple_rows(dists, tuples, combine=dist_max) -> list[list[Dist]]:
@@ -400,7 +393,7 @@ def coproduct(spaces: Sequence[MetricSpace]) -> tuple[MetricSpace, list[SpaceMap
         for x in s.points:
             for y in s.points:
                 rows[index_of_tag[f"{i}:{x}"]][index_of_tag[f"{i}:{y}"]] = s.dist(x, y)
-    out = MetricSpace(order, rows)
+    out = MetricSpace._derived(order, rows)
     injections = [
         SpaceMap(s, out, {p: f"{i}:{p}" for p in s.points}) for i, s in enumerate(spaces)
     ]

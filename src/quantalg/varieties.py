@@ -233,7 +233,7 @@ class BoundedFreeAlgebra:
         order = sorted(range(len(self.labels)), key=lambda i: self.labels[i])
         pts = [self.labels[i] for i in order]
         rows = [[self.matrix[i][j] for j in order] for i in order]
-        return PseudoSpace(pts, rows)
+        return PseudoSpace._derived(pts, rows)
 
 
 def free_in_variety_bounded(

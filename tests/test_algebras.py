@@ -10,8 +10,10 @@ from quantalg import (
     Homomorphism,
     INF,
     InvariantError,
+    MetricSpace,
     QuantAlgebra,
     Signature,
+    SpaceMap,
     StructuralError,
     ZERO,
     check_op_against_combiner,
@@ -21,6 +23,7 @@ from quantalg import (
     identity_hom,
     image_factorize,
     make_space,
+    metric_reflection,
     product_algebra,
     singleton_space,
     subalgebra_generated,
@@ -128,6 +131,44 @@ def test_hom_violations_and_invalid_construction():
     assert hom_violations(one, two, {"x": "u", "y": "v"})  # expands 1/2 to 2
     with pytest.raises(InvariantError):
         Homomorphism(one, two, {"x": "u", "y": "v"})
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_derived_homomorphisms_pass_the_checkers(seed):
+    # derived algebras and maps skip their constructors' checks, so the
+    # checkers and the checking constructors are the oracle here
+    rng = random.Random(seed)
+    alg = G.rand_valid_algebra(rng, max_points=3)
+    onto = G.rand_quotient_hom(rng, alg)
+    _, projections = product_algebra([alg, onto.target])
+    _, inclusion = subalgebra_generated(alg, rng.sample(alg.carrier.points, 1))
+    homs = [onto, *projections, inclusion, *image_factorize(G.rand_hom(rng, alg))]
+    for h in homs:
+        assert hom_violations(h.source, h.target, h.mapping) == []
+        for a in (h.source, h.target):
+            assert MetricSpace(a.carrier.points, a.carrier.rows) == a.carrier
+            assert QuantAlgebra(a.carrier, a.signature, a.tables) == a
+            assert validate_algebra(a) == []
+
+
+def test_validated_values_cannot_be_changed_through_their_mappings():
+    alg = truncated_addition_monoid(3)
+    with pytest.raises(TypeError):
+        alg.tables["add"][("0", "0")] = "1"
+    with pytest.raises(TypeError):
+        alg.tables["add"] = {}
+    with pytest.raises(TypeError):
+        identity_hom(alg).mapping["0"] = "zzz"
+    given_map = {p: p for p in alg.carrier.points}
+    space_map = SpaceMap(alg.carrier, alg.carrier, given_map)
+    given_map["0"] = "3"
+    assert space_map("0") == "0"  # no alias of the caller's dict
+    with pytest.raises(TypeError):
+        space_map.mapping["0"] = "3"
+    _, q = metric_reflection(alg.carrier)
+    with pytest.raises(TypeError):
+        q.class_of["0"] = "1"
 
 
 def test_product_algebra_and_projections():

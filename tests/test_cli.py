@@ -193,6 +193,21 @@ def test_space_constructions(files, capsys):
     assert all(trip[0][0] == trip[1][0] for trip in doc["space"]["dist"])
 
 
+def test_huge_literals_are_structural_errors(files, capsys):
+    s1 = files("s1.json", {"points": ["a", "b"], "dist": [["a", "b", "1"]]})
+    huge = files("huge.json", {"points": ["x", "y"], "dist": [["x", "y", "1e5000"]]})
+    code, out, err = run(capsys, "--format", "json", "product", s1, huge)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "structural" and "too large" in error["message"]
+
+    digits = files("digits.json", {})
+    with open(digits, "w") as h:
+        h.write('{"points": ["x", "y"], "dist": [["x", "y", ' + "9" * 5000 + "]]}")
+    code, _, err = run(capsys, "--format", "json", "product", s1, digits)
+    assert code == 2 and json.loads(err)["error"]["kind"] == "structural"
+
+
 def test_term_dist_command(files, capsys):
     s1 = files("s1.json", {"points": ["a", "b"], "dist": [["a", "b", "1"]]})
     code, out, _ = run(capsys, "term-dist", s1, "f(a, a)", "f(b, a)")

@@ -19,6 +19,7 @@ from quantalg import (
     check_effectivity,
     coequalizer,
     colimit,
+    compatibility_violations,
     discrete_space,
     epsilon_kernel_pair,
     generated_congruence,
@@ -27,6 +28,7 @@ from quantalg import (
     kernel_subcongruence,
     make_space,
     product,
+    product_algebra,
     product_subcongruence,
     quotient_algebra,
     singleton_space,
@@ -162,6 +164,23 @@ def test_kernel_of_random_nonexpanding_map_is_subcongruence(seed):
         return
     sub = kernel_subcongruence(SpaceMap(src, tgt, mapping))
     assert subcongruence_violations(sub.base, sub.dhat) == []
+    pair = epsilon_kernel_pair(SpaceMap(src, tgt, mapping), G.rand_dist(rng))
+    assert space_violations(pair.space.points, pair.space.rows, "metric") == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_generated_and_product_congruences_pass_the_checkers(seed):
+    # neither constructor checks its result, so the checkers are the oracle
+    rng = random.Random(seed)
+    alg = G.rand_valid_algebra(rng, max_points=3)
+    congs = [generated_congruence(alg, G.rand_constraints(rng, alg.carrier)) for _ in range(2)]
+    prod, _ = product_algebra([alg, alg])
+    both = product_subcongruence(congs[0].sub, congs[1].sub)
+    assert both.base == prod.carrier
+    for algebra, sub in [(alg, c.sub) for c in congs] + [(prod, both)]:
+        assert subcongruence_violations(sub.base, sub.dhat) == []
+        assert compatibility_violations(algebra, sub) == []
 
 
 def test_product_subcongruence_trivial_cases():

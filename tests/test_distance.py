@@ -31,6 +31,16 @@ def test_rejects_bad_literals():
         Dist("abc")
 
 
+def test_rejects_literals_too_large_to_print():
+    for literal in ("1e5000", "1e-5000", "1/" + "7" * 100, 2 ** 300, "1e99999999999"):
+        with pytest.raises(StructuralError, match="too large"):
+            Dist(literal)
+    assert Dist(2 ** 256 - 1).as_fraction() == 2 ** 256 - 1
+    assert Dist("1e70") == Dist(10 ** 70)
+    # Fractions come from arithmetic on accepted values and are not bounded
+    assert Dist(Fraction(1, 2 ** 300)).as_fraction() == Fraction(1, 2 ** 300)
+
+
 def test_saturating_addition():
     assert Dist(1) + Dist("1/2") == Dist("3/2")
     assert INF + Dist(1) == INF

@@ -8,6 +8,7 @@ from quantalg import (
     INF,
     InvariantError,
     MetricSpace,
+    QuotientMap,
     StructuralError,
     ZERO,
     connected_components,
@@ -85,6 +86,18 @@ def test_reflection_collapses_zero_pair():
     t, q = metric_reflection(p)
     assert t.points == ("a",)
     assert q.class_of == {"a": "a", "b": "a"}
+
+
+def test_quotient_map_constructor_checks_its_map():
+    p = make_space(["a", "b", "c"], {("a", "b"): 0, ("a", "c"): 2, ("b", "c"): 2}, mode="pseudo")
+    target = make_space(["a", "c"], {("a", "c"): 1})
+    with pytest.raises(InvariantError) as err:
+        QuotientMap(p, target, {"a": "a", "b": "a", "c": "c"})  # 2 becomes 1
+    assert {v.points for v in err.value.violations} == {("a", "c"), ("b", "c")}
+    with pytest.raises(StructuralError):
+        QuotientMap(p, target, {"a": "a", "b": "a", "c": "a"})  # misses c
+    with pytest.raises(StructuralError):
+        QuotientMap(p, target, {"a": "a", "b": "a"})  # undefined on c
 
 
 def test_reflection_three_point_example():
@@ -169,6 +182,9 @@ def test_product_and_tensor_validity_and_comparison(seed):
     assert p.points == t.points
     for x, y in p.point_pairs():
         assert t.dist(x, y) >= p.dist(x, y)
+    c, injections = coproduct([s1, s2])
+    assert space_violations(c.points, c.rows, "metric") == []
+    assert all(i.is_isometric_embedding() for i in injections)
 
 
 @settings(max_examples=40, deadline=None)
