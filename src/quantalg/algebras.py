@@ -254,7 +254,7 @@ class Homomorphism(Frozen):
         return self.as_space_map().is_isometric_embedding()
 
     def as_space_map(self) -> SpaceMap:
-        return SpaceMap(self.source.carrier, self.target.carrier, self.mapping)
+        return SpaceMap._derived(self.source.carrier, self.target.carrier, self.mapping)
 
     def compose(self, then: "Homomorphism") -> "Homomorphism":
         if then.source != self.target:

@@ -451,6 +451,9 @@ def main(argv=None) -> int:
     except (StructuralError, InvariantError) as exc:
         rep.error("structural", str(exc))
         return EXIT_STRUCTURAL
+    except RecursionError:  # the term functions and json.load recurse
+        rep.error("structural", "input nested too deeply")
+        return EXIT_STRUCTURAL
 
 
 if __name__ == "__main__":

@@ -98,8 +98,8 @@ def _pair_relation(base: MetricSpace, related) -> PairRelation:
     labels = sorted(tuple_label(p) for p in pairs)
     by_label = {tuple_label(p): p for p in pairs}
     space = MetricSpace._derived(labels, tuple_rows([base.dist] * 2, [by_label[a] for a in labels]))
-    left = SpaceMap(space, base, {lab: by_label[lab][0] for lab in labels})
-    right = SpaceMap(space, base, {lab: by_label[lab][1] for lab in labels})
+    left = SpaceMap._derived(space, base, {lab: by_label[lab][0] for lab in labels})
+    right = SpaceMap._derived(space, base, {lab: by_label[lab][1] for lab in labels})
     return PairRelation(tuple(sorted(pairs)), space, left, right)
 
 
@@ -157,7 +157,7 @@ def check_effectivity(sub: Subcongruence) -> EffectivityResult:
     map, so a nonempty discrepancy list indicates an implementation bug.
     """
     space, qmap = colimit(sub)
-    recovered = kernel_subcongruence(SpaceMap(sub.base, space, qmap.mapping))
+    recovered = kernel_subcongruence(SpaceMap._derived(sub.base, space, qmap.mapping))
     bad = tuple(
         (x, y, sub.d(x, y), recovered.d(x, y))
         for x, y in sub.base.point_pairs()
@@ -346,7 +346,7 @@ def universal_property_check(sub: Subcongruence, q, candidate) -> UniversalCheck
     missing = [p for p in q.target.points if p not in factor]
     if missing:
         return UniversalCheck(False, None, "q is not surjective onto its target", tuple(missing))
-    h = SpaceMap(q.target, c.target, factor)
+    h = SpaceMap._derived(q.target, c.target, factor)
     witness = h.expansion_witness()
     if witness is not None:
         return UniversalCheck(False, None, "induced factor is not nonexpanding", witness)

@@ -114,11 +114,28 @@ class Dist:
         if self._frac is None:
             return "inf"
         if self._frac.denominator == 1:
-            return str(self._frac.numerator)
-        return f"{self._frac.numerator}/{self._frac.denominator}"
+            return _decimal(self._frac.numerator)
+        return f"{_decimal(self._frac.numerator)}/{_decimal(self._frac.denominator)}"
 
     def __repr__(self) -> str:
         return f"Dist({str(self)!r})"
+
+
+_CHUNK_DIGITS = 500  # below 640, the least int-to-str digit limit Python allows
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _decimal(value: int) -> str:
+    """The decimal digits of a nonnegative int, converted in chunks of at
+    most _CHUNK_DIGITS digits, so that results of exact arithmetic print
+    whatever the interpreter's int-to-str digit limit."""
+    if value < _CHUNK:
+        return str(value)
+    chunks = []
+    while value:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(low)
+    return str(chunks[-1]) + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks[:-1]))
 
 
 def _too_large(value) -> StructuralError:

@@ -62,10 +62,8 @@ def space_parts_from_doc(doc) -> tuple[list[str], list[list[Dist]]]:
     return fill_matrix([str(p) for p in doc["points"]], triples)
 
 
-def space_from_doc(doc, mode: str = "metric") -> PseudoSpace:
-    points, rows = space_parts_from_doc(doc)
-    cls = MetricSpace if mode == "metric" else PseudoSpace
-    return cls(points, rows)
+def space_from_doc(doc) -> MetricSpace:
+    return MetricSpace(*space_parts_from_doc(doc))
 
 
 def signature_to_doc(signature: Signature) -> list:
@@ -98,8 +96,7 @@ def algebra_to_doc(algebra: QuantAlgebra) -> dict:
 
 def algebra_from_doc(doc) -> QuantAlgebra:
     _fields(doc, "algebra", "space", "signature", "tables")
-    carrier = space_from_doc(doc["space"], mode="metric")
-    _expect(isinstance(carrier, MetricSpace), "algebra carrier must be a metric space")
+    carrier = space_from_doc(doc["space"])
     signature = signature_from_doc(doc["signature"])
     _expect(isinstance(doc["tables"], dict), "'tables' must be an object")
     tables: dict[str, dict[tuple[str, ...], str]] = {}
@@ -152,8 +149,8 @@ def map_from_doc(doc):
     _fields(doc, "map", "source", "target", "map")
     if isinstance(doc["source"], dict) and "points" in doc["source"]:
         return SpaceMap(
-            space_from_doc(doc["source"], mode="metric"),
-            space_from_doc(doc["target"], mode="metric"),
+            space_from_doc(doc["source"]),
+            space_from_doc(doc["target"]),
             _map_entries_from_doc(doc["map"]),
         )
     return hom_from_doc(doc)
@@ -195,7 +192,7 @@ def dhat_rows_from_doc(doc, base: MetricSpace) -> list[list[Dist]]:
 
 def subcongruence_from_doc(doc) -> Subcongruence:
     _fields(doc, "subcongruence", "base")
-    base = space_from_doc(doc["base"], mode="metric")
+    base = space_from_doc(doc["base"])
     return Subcongruence(base, dhat_rows_from_doc(doc, base))
 
 

@@ -225,24 +225,36 @@ def discrete_space(points: Iterable[str]) -> MetricSpace:
     return make_space(points)
 
 
-@dataclass(frozen=True)
-class SpaceMap:
+class SpaceMap(Frozen):
     """A total map between spaces, given pointwise."""
 
-    source: PseudoSpace
-    target: PseudoSpace
-    mapping: Mapping[str, str]
+    __slots__ = ("source", "target", "mapping")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", MappingProxyType(dict(self.mapping)))
-        for p in self.source.points:
-            if p not in self.mapping:
+    def __init__(self, source: PseudoSpace, target: PseudoSpace, mapping: Mapping[str, str]):
+        mapping = dict(mapping)
+        for p in source.points:
+            if p not in mapping:
                 raise StructuralError(f"map undefined on point {p!r}")
-        for p, q in self.mapping.items():
-            if p not in self.source.points:
+        for p, q in mapping.items():
+            if p not in source._index:
                 raise StructuralError(f"map defined on unknown point {p!r}")
-            if q not in self.target.points:
+            if q not in target._index:
                 raise StructuralError(f"map hits unknown point {q!r}")
+        self._set(source, target, mapping)
+
+    def _set(self, source: PseudoSpace, target: PseudoSpace, mapping: Mapping[str, str]) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mapping", MappingProxyType(dict(mapping)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source == other.source and self.target == other.target
+                and self.mapping == other.mapping)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
 
     def __call__(self, point: str) -> str:
         return self.mapping[point]
@@ -272,6 +284,8 @@ class SpaceMap:
 
 class QuotientMap(SpaceMap):
     """A distance-preserving surjection onto a metric space."""
+
+    __slots__ = ()
 
     def __init__(self, source: PseudoSpace, target: MetricSpace, class_of: Mapping[str, str]):
         super().__init__(source, target, class_of)
@@ -312,7 +326,7 @@ def metric_reflection(space: PseudoSpace) -> tuple[MetricSpace, QuotientMap]:
                 rep[p] = q  # points are sorted, so the first zero-mate is least
                 break
     target = subspace(space, rep.values())
-    return target, QuotientMap(space, target, rep)
+    return target, QuotientMap._derived(space, target, rep)
 
 
 def subspace(space: PseudoSpace, keep: Iterable[str]) -> MetricSpace:
@@ -337,7 +351,7 @@ class ProductResult:
 
     def projections(self) -> list[SpaceMap]:
         return [
-            SpaceMap(self.space, factor, {p: self.coords[p][i] for p in self.space.points})
+            SpaceMap._derived(self.space, factor, {p: self.coords[p][i] for p in self.space.points})
             for i, factor in enumerate(self.factors)
         ]
 
@@ -395,7 +409,7 @@ def coproduct(spaces: Sequence[MetricSpace]) -> tuple[MetricSpace, list[SpaceMap
                 rows[index_of_tag[f"{i}:{x}"]][index_of_tag[f"{i}:{y}"]] = s.dist(x, y)
     out = MetricSpace._derived(order, rows)
     injections = [
-        SpaceMap(s, out, {p: f"{i}:{p}" for p in s.points}) for i, s in enumerate(spaces)
+        SpaceMap._derived(s, out, {p: f"{i}:{p}" for p in s.points}) for i, s in enumerate(spaces)
     ]
     return out, injections
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .distance import INF, Dist, dist_max
 from .errors import CapExceededError, StructuralError
@@ -180,12 +180,6 @@ def term_distance(t: Term, s: Term, space: PseudoSpace) -> Dist:
     return dist_max(term_distance(a, b, space) for a, b in zip(t.args, s.args))
 
 
-def _term_key(t: Term):
-    if t.args is None:
-        return (0, t.head, ())
-    return (t.depth(), t.head, tuple(_term_key(a) for a in t.args))
-
-
 def enumerate_terms(
     signature: Signature,
     generators: Iterable[str],
@@ -195,32 +189,30 @@ def enumerate_terms(
     """All terms of depth <= depth, ordered by depth, head symbol, children.
 
     The depth of a generator is 0; a composite adds one to the maximum
-    child depth (a constant has depth 1).  Raises CapExceededError when the
-    term count would pass max_terms.
+    child depth (a constant has depth 1).  Layer d takes the symbols by
+    name and their child index tuples in order, so it is built sorted.
+    Raises CapExceededError when the term count would pass max_terms.
     """
     if depth < 0:
         raise StructuralError("depth must be nonnegative")
-    gens = sorted(set(generators))
-    depth_of: dict[Term, int] = {Term(g): 0 for g in gens}
-    if len(depth_of) > max_terms:
-        raise CapExceededError("term enumeration", len(depth_of), max_terms)
+    terms = [Term(g) for g in sorted(set(generators))]
+    if len(terms) > max_terms:
+        raise CapExceededError("term enumeration", len(terms), max_terms)
+    depths = [0] * len(terms)
+    symbols = sorted(signature.symbols)
     for d in range(1, depth + 1):
-        pool = [t for t, k in depth_of.items() if k <= d - 1]
-        grown = False
-        for name, arity in signature.symbols:
-            for children in itertools.product(pool, repeat=arity):
-                candidate = Term(name, children)
-                if candidate in depth_of:
+        size = len(terms)
+        for name, arity in symbols:
+            for ids in itertools.product(range(size), repeat=arity):
+                if max((depths[i] for i in ids), default=0) != d - 1:
                     continue
-                depth_of[candidate] = 1 + max(
-                    (depth_of[c] for c in children), default=0
-                )
-                grown = True
-                if len(depth_of) > max_terms:
-                    raise CapExceededError("term enumeration", len(depth_of), max_terms)
-        if not grown:
+                terms.append(Term(name, tuple(terms[i] for i in ids)))
+                depths.append(d)
+                if len(terms) > max_terms:
+                    raise CapExceededError("term enumeration", len(terms), max_terms)
+        if len(terms) == size:
             break
-    return sorted(depth_of, key=_term_key)
+    return terms
 
 
 def substitute(term: Term, assignment: Mapping[str, Term]) -> Term:

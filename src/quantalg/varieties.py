@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 from .algebras import (
@@ -40,7 +41,6 @@ from .terms import (
     enumerate_terms,
     evaluate,
     op,
-    substitute,
     term_distance,
     var,
 )
@@ -211,9 +211,10 @@ class BoundedFreeAlgebra:
     """Depth-bounded window into a free algebra of a variety.
 
     The matrix upper-bounds the true free-algebra distances: only equation
-    instances whose substituted sides stay inside the depth window were
-    applied, so deeper proofs may lower distances further.  The flag is
-    always True to make the approximation explicit.
+    instances were applied, that is assignments of window terms to the
+    variables under which both sides evaluate inside the depth window, so
+    deeper proofs may lower distances further.  The flag is always True to
+    make the approximation explicit.
     """
 
     terms: tuple[Term, ...]
@@ -255,31 +256,29 @@ def free_in_variety_bounded(
             d = term_distance(terms[i], terms[j], space)
             matrix[i][j] = matrix[j][i] = d
 
+    ids = {
+        (t.head, tuple(index[a] for a in t.args)): i
+        for i, t in enumerate(terms) if t.args is not None
+    }
+    # the window as a partial algebra on term indices: None past the depth
+    # bound, and so above any None, since no key holds one
+    window = SimpleNamespace(op=lambda name, args: ids.get((name, args)))
     for eq in variety.equations:
         count = n ** len(eq.variables)
         if count > max_instances:
             raise CapExceededError("equation instance enumeration", count, max_instances)
-        for values in itertools.product(terms, repeat=len(eq.variables)):
+        for values in itertools.product(range(n), repeat=len(eq.variables)):
             assignment = dict(zip(eq.variables, values))
-            left = substitute(eq.lhs, assignment)
-            if left.depth() > depth:
-                continue
-            right = substitute(eq.rhs, assignment)
-            if right.depth() > depth:
-                continue
-            i, j = index[left], index[right]
-            if eq.epsilon < matrix[i][j]:
+            i = evaluate(eq.lhs, window, assignment)
+            j = None if i is None else evaluate(eq.rhs, window, assignment)
+            if j is not None and eq.epsilon < matrix[i][j]:
                 matrix[i][j] = matrix[j][i] = eq.epsilon
 
-    by_head: dict[str, list[Term]] = {}
-    for t in terms:
-        if not t.is_generator:
-            by_head.setdefault(t.head, []).append(t)
+    by_head: dict[str, list[tuple[tuple[int, ...], int]]] = {}
+    for (head, args), i in ids.items():
+        by_head.setdefault(head, []).append((args, i))
     rules = InstanceTable(n, (
-        (head, pair_instances(
-            n, [[index[a] for a in t.args] for t in members], [index[t] for t in members]
-        ))
-        for head, members in sorted(by_head.items())
+        (head, pair_instances(n, *zip(*members))) for head, members in sorted(by_head.items())
     ))
     cap = max_passes if max_passes is not None else 16 * n * n * (1 + len(rules))
     closure_fixpoint(matrix, rules, max(cap, 1))

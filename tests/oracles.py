@@ -5,14 +5,27 @@ calling the code under test: repeated-relaxation shortest paths, a
 union-find congruence closure over operation tables, a brute-force search
 for the largest valid congruence matrix over a value grid, a
 backtracking isometry search, the congruence closure and the axiom and
-nonexpansiveness reports computed directly on Dist values.
+nonexpansiveness reports computed directly on Dist values, and the
+bounded free algebra built by substituting terms into the equations.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from quantalg import ConvergenceError, Dist, INF, ZERO, Violation, dist_max, dist_sum
+from quantalg import (
+    CapExceededError,
+    ConvergenceError,
+    Dist,
+    INF,
+    StructuralError,
+    Term,
+    ZERO,
+    Violation,
+    dist_max,
+    dist_sum,
+    substitute,
+)
 
 
 def shortest_path_closure(rows):
@@ -321,3 +334,74 @@ def op_report(algebra, symbol, combiner):
             if actual > bound:
                 out.append((symbol, xs, ys, bound, actual))
     return out
+
+
+def _term_key(t):
+    if t.args is None:
+        return (0, t.head, ())
+    return (t.depth(), t.head, tuple(_term_key(a) for a in t.args))
+
+
+def enumerate_terms_sorted(signature, generators, depth, max_terms):
+    """All terms of depth <= depth: each layer applies every symbol, in
+    declaration order, to every tuple of shallower terms and keeps the
+    new ones in a dict of hashed terms; a recursive key (depth, head,
+    children) sorts the result at the end."""
+    if depth < 0:
+        raise StructuralError("depth must be nonnegative")
+    depth_of = {Term(g): 0 for g in sorted(set(generators))}
+    if len(depth_of) > max_terms:
+        raise CapExceededError("term enumeration", len(depth_of), max_terms)
+    for d in range(1, depth + 1):
+        pool = [t for t, k in depth_of.items() if k <= d - 1]
+        grown = False
+        for name, arity in signature.symbols:
+            for children in itertools.product(pool, repeat=arity):
+                candidate = Term(name, children)
+                if candidate in depth_of:
+                    continue
+                depth_of[candidate] = 1 + max((depth_of[c] for c in children), default=0)
+                grown = True
+                if len(depth_of) > max_terms:
+                    raise CapExceededError("term enumeration", len(depth_of), max_terms)
+        if not grown:
+            break
+    return sorted(depth_of, key=_term_key)
+
+
+def _term_metric(t, s, space):
+    if t.args is None and s.args is None:
+        return space.dist(t.head, s.head)
+    if t.args is None or s.args is None or t.head != s.head:
+        return INF
+    return dist_max(_term_metric(a, b, space) for a, b in zip(t.args, s.args))
+
+
+def free_matrix_by_substitution(variety, space, depth, max_terms, max_instances):
+    """The bounded free algebra's terms and matrix: the term metric,
+    lowered by every equation instance whose substituted sides have depth
+    <= depth, then closed with ``closure_sweeps``."""
+    terms = enumerate_terms_sorted(variety.signature, space.points, depth, max_terms)
+    index = {t: i for i, t in enumerate(terms)}
+    n = len(terms)
+    m = [[_term_metric(t, s, space) for s in terms] for t in terms]
+    for eq in variety.equations:
+        count = n ** len(eq.variables)
+        if count > max_instances:
+            raise CapExceededError("equation instance enumeration", count, max_instances)
+        for values in itertools.product(terms, repeat=len(eq.variables)):
+            assignment = dict(zip(eq.variables, values))
+            left = substitute(eq.lhs, assignment)
+            right = substitute(eq.rhs, assignment)
+            if left.depth() > depth or right.depth() > depth:
+                continue
+            i, j = index[left], index[right]
+            if eq.epsilon < m[i][j]:
+                m[i][j] = m[j][i] = eq.epsilon
+    rules = [
+        (tuple((index[x], index[y]) for x, y in zip(t.args, s.args)), index[t], index[s])
+        for t, s in itertools.combinations(terms, 2)
+        if t.args is not None and s.args is not None and t.head == s.head
+    ]
+    closure_sweeps(m, rules, 16 * n * n * (1 + len(rules)))
+    return terms, m

@@ -20,11 +20,15 @@ from quantalg import (
     MetricSpace,
     PseudoSpace,
     QuantAlgebra,
+    QuantEquation,
     Signature,
     Subcongruence,
+    VarietyPresentation,
     ZERO,
     generated_congruence,
+    op,
     quotient_algebra,
+    var,
 )
 
 from oracles import shortest_path_closure
@@ -234,3 +238,29 @@ def rand_nonexpanding_map(
         ):
             return mapping
     return None
+
+
+def rand_signature(rng: random.Random, max_symbols=3, max_arity=3) -> Signature:
+    """Distinct one-letter symbols of arity 0..max_arity, declared in
+    random order rather than name order."""
+    names = rng.sample("fghkmn", rng.randint(1, max_symbols))
+    return Signature([(name, rng.randint(0, max_arity)) for name in names])
+
+
+def rand_term(rng: random.Random, signature: Signature, variables, depth: int):
+    if depth == 0 or rng.random() < 0.3:
+        return var(rng.choice(variables))
+    name, arity = rng.choice(signature.symbols)
+    return op(name, *(rand_term(rng, signature, variables, depth - 1) for _ in range(arity)))
+
+
+def rand_variety(rng: random.Random, signature: Signature, max_equations=3) -> VarietyPresentation:
+    """Equations between random terms of depth <= 2 over up to three
+    variables, some of which may go unused."""
+    equations = []
+    for _ in range(rng.randint(1, max_equations)):
+        variables = rng.sample(["x", "y", "z"], rng.randint(1, 3))
+        lhs, rhs = (rand_term(rng, signature, variables, 2) for _ in range(2))
+        eps = ZERO if rng.random() < 0.4 else Dist(rand_fraction(rng, 3, 3))
+        equations.append(QuantEquation(variables, lhs, rhs, eps))
+    return VarietyPresentation(signature, equations)

@@ -16,8 +16,12 @@ from quantalg import (
     SpaceMap,
     StructuralError,
     ZERO,
+    check_effectivity,
     check_op_against_combiner,
+    colimit,
+    coproduct,
     discrete_space,
+    epsilon_kernel_pair,
     hom_distance,
     hom_violations,
     identity_hom,
@@ -25,9 +29,11 @@ from quantalg import (
     make_space,
     metric_reflection,
     product_algebra,
+    product_space,
     singleton_space,
     subalgebra_generated,
     truncated_addition_monoid,
+    universal_property_check,
     validate_algebra,
 )
 
@@ -150,6 +156,17 @@ def test_derived_homomorphisms_pass_the_checkers(seed):
             assert MetricSpace(a.carrier.points, a.carrier.rows) == a.carrier
             assert QuantAlgebra(a.carrier, a.signature, a.tables) == a
             assert validate_algebra(a) == []
+    # the derived space maps, each rebuilt by its class's checking constructor
+    sub = G.rand_subcongruence(rng, alg.carrier)
+    _, q = colimit(sub)
+    pair = epsilon_kernel_pair(onto, G.rand_dist(rng))
+    maps = [h.as_space_map() for h in homs] + [q, pair.left, pair.right]
+    maps += product_space([alg.carrier, q.target]).projections()
+    maps += coproduct([alg.carrier, q.target])[1]
+    maps.append(universal_property_check(sub, q, q).factor)
+    for m in maps:
+        assert type(m)(m.source, m.target, m.mapping) == m
+    assert check_effectivity(sub).ok
 
 
 def test_validated_values_cannot_be_changed_through_their_mappings():
@@ -164,6 +181,8 @@ def test_validated_values_cannot_be_changed_through_their_mappings():
     space_map = SpaceMap(alg.carrier, alg.carrier, given_map)
     given_map["0"] = "3"
     assert space_map("0") == "0"  # no alias of the caller's dict
+    assert space_map == SpaceMap(alg.carrier, alg.carrier, {p: p for p in alg.carrier.points})
+    assert space_map != SpaceMap(alg.carrier, alg.carrier, given_map)
     with pytest.raises(TypeError):
         space_map.mapping["0"] = "3"
     _, q = metric_reflection(alg.carrier)

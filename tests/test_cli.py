@@ -1,4 +1,7 @@
+import itertools
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -206,6 +209,49 @@ def test_huge_literals_are_structural_errors(files, capsys):
         h.write('{"points": ["x", "y"], "dist": [["x", "y", ' + "9" * 5000 + "]]}")
     code, _, err = run(capsys, "--format", "json", "product", s1, digits)
     assert code == 2 and json.loads(err)["error"]["kind"] == "structural"
+
+
+def _digits_to_int(digits):
+    # int() of a long digit string would hit the interpreter's digit limit
+    value = 0
+    for k in range(0, len(digits), 500):
+        chunk = digits[k:k + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_sums_past_the_digit_limit_print_exactly(files, capsys):
+    # every literal is 256 bits at most, but the path p00 .. p60 sums 60 of
+    # them to a denominator of about 15,000 bits
+    pts = [f"p{i:02d}" for i in range(61)]
+    rng = random.Random(4)
+    qs = set()
+    while len(qs) < 60:
+        qs.add(rng.getrandbits(255) | (1 << 254) | 1)
+    qs = sorted(qs)
+    space = {"points": pts, "dist": [[x, y, "1"] for x, y in itertools.combinations(pts, 2)]}
+    alg = files("alg.json", {"space": space, "signature": [], "tables": {}})
+    cons = files("cons.json", [[pts[i], pts[i + 1], f"1/{q}"] for i, q in enumerate(qs)])
+    code, out, err = run(capsys, "--format", "json", "quotient", alg, cons)
+    assert code == 0 and err == ""
+    entry = {(x, y): d for x, y, d in json.loads(out)["data"]["dhat"]["dhat"]}[("p00", "p60")]
+    num, den = entry.split("/")
+    assert Fraction(_digits_to_int(num), _digits_to_int(den)) == sum(Fraction(1, q) for q in qs)
+    assert len(den) > 4300
+    # read back in, the value is a literal past MAX_LITERAL_BITS
+    back = files("back.json", {"points": ["x", "y"], "dist": [["x", "y", entry]]})
+    code, out, err = run(capsys, "--format", "json", "product", back, back)
+    assert code == 2 and out == "" and json.loads(err)["error"]["kind"] == "structural"
+
+
+def test_deep_nesting_is_a_structural_error(files, capsys):
+    s1 = files("s1.json", {"points": ["a", "b"], "dist": [["a", "b", "1"]]})
+    too_deep_to_parse = "u(" * 3000 + "a" + ")" * 3000
+    too_deep_to_compare = "u(" * 600 + "a" + ")" * 600
+    for lhs in (too_deep_to_parse, too_deep_to_compare):
+        code, out, err = run(capsys, "--format", "json", "term-dist", s1, lhs, lhs)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"kind": "structural", "message": "input nested too deeply"}
 
 
 def test_term_dist_command(files, capsys):

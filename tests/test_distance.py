@@ -41,6 +41,25 @@ def test_rejects_literals_too_large_to_print():
     assert Dist(Fraction(1, 2 ** 300)).as_fraction() == Fraction(1, 2 ** 300)
 
 
+def test_prints_values_past_the_digit_limit():
+    # exact sums of accepted literals can outgrow any literal bound
+    big = Fraction(3 ** 20000 + 1, 7 ** 9000)
+    text = str(Dist(big))
+    num, den = text.split("/")
+    assert len(num) > 9000 and len(den) > 7000
+    for digits, value in ((num, big.numerator), (den, big.denominator)):
+        assert digits[0] != "0"
+        parsed = 0
+        for k in range(0, len(digits), 500):  # int() of all digits would hit the limit
+            chunk = digits[k:k + 500]
+            parsed = parsed * 10 ** len(chunk) + int(chunk)
+        assert parsed == value
+    assert str(Dist(Fraction(10 ** 500))) == "1" + "0" * 500
+    assert str(Dist(Fraction(10 ** 1000 + 7, 3))) == "1" + "0" * 999 + "7/3"
+    with pytest.raises(StructuralError):
+        Dist(text)
+
+
 def test_saturating_addition():
     assert Dist(1) + Dist("1/2") == Dist("3/2")
     assert INF + Dist(1) == INF

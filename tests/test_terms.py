@@ -27,6 +27,7 @@ from quantalg import (
 )
 
 import strategies as G
+from oracles import enumerate_terms_sorted
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -114,6 +115,26 @@ def test_enumerate_cap():
     sig = Signature([("g", 2)])
     with pytest.raises(CapExceededError):
         enumerate_terms(sig, ["a", "b", "c"], 3, max_terms=100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_enumeration_matches_sorted_oracle(seed):
+    # constants to ternary symbols declared out of name order, unsorted and
+    # duplicated generators, and caps that are often hit
+    rng = random.Random(seed)
+    sig = G.rand_signature(rng)
+    gens = rng.choices(["c", "a", "b"], k=rng.randint(0, 4))
+    depth = rng.randint(0, 3)
+    cap = rng.randint(1, 60)
+    try:
+        want = enumerate_terms_sorted(sig, gens, depth, cap)
+    except CapExceededError as exc:
+        with pytest.raises(CapExceededError) as got:
+            enumerate_terms(sig, gens, depth, cap)
+        assert (got.value.needed, got.value.cap, str(got.value)) == (exc.needed, exc.cap, str(exc))
+        return
+    assert enumerate_terms(sig, gens, depth, cap) == want
 
 
 def test_evaluate():

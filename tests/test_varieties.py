@@ -40,6 +40,7 @@ from quantalg import (
 from quantalg.varieties import SatisfactionResult
 
 import strategies as G
+from oracles import free_matrix_by_substitution
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -274,6 +275,30 @@ def test_free_bounded_matrix_is_pseudometric():
     free = free_in_variety_bounded(variety, m, 2)
     space = free.as_pseudo_space()  # built without a check, so check it here
     assert space_violations(space.points, space.rows, "pseudo") == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_free_bounded_matches_substitution_oracle(seed):
+    # instances found by evaluating in the window against instances built
+    # with substitute and depth(), on random signatures and equations
+    rng = random.Random(seed)
+    sig = G.rand_signature(rng)
+    variety = G.rand_variety(rng, sig)
+    space = G.rand_metric_space(rng, rng.randint(1, 2))
+    depth = rng.randint(0, 2)
+    caps = dict(max_terms=rng.choice([rng.randint(1, 30), 30]),
+                max_instances=rng.choice([rng.randint(1, 2000), 2000]))
+    try:
+        terms, want = free_matrix_by_substitution(variety, space, depth, **caps)
+    except CapExceededError as exc:
+        with pytest.raises(CapExceededError) as got:
+            free_in_variety_bounded(variety, space, depth, **caps)
+        assert (got.value.needed, got.value.cap, str(got.value)) == (exc.needed, exc.cap, str(exc))
+        return
+    free = free_in_variety_bounded(variety, space, depth, **caps)
+    assert list(free.terms) == terms
+    assert [list(row) for row in free.matrix] == want
 
 
 def test_demo_report():
