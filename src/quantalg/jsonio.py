@@ -75,7 +75,7 @@ def signature_from_doc(doc) -> Signature:
     pairs = []
     for entry in doc:
         _expect(
-            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int),
+            isinstance(entry, list) and len(entry) == 2 and type(entry[1]) is int,  # not bool
             f"bad signature entry {entry!r}",
         )
         pairs.append((str(entry[0]), entry[1]))

@@ -200,19 +200,33 @@ def enumerate_terms(
         raise CapExceededError("term enumeration", len(terms), max_terms)
     depths = [0] * len(terms)
     symbols = sorted(signature.symbols)
+    prev = 0  # the number of terms of depth < d - 1
     for d in range(1, depth + 1):
         size = len(terms)
         for name, arity in symbols:
+            if len(terms) + _layer_block(size, prev, arity, d, max_terms) > max_terms:
+                raise CapExceededError("term enumeration", max_terms + 1, max_terms)
             for ids in itertools.product(range(size), repeat=arity):
                 if max((depths[i] for i in ids), default=0) != d - 1:
                     continue
                 terms.append(Term(name, tuple(terms[i] for i in ids)))
                 depths.append(d)
-                if len(terms) > max_terms:
-                    raise CapExceededError("term enumeration", len(terms), max_terms)
         if len(terms) == size:
             break
+        prev = size
     return terms
+
+
+def _layer_block(size: int, prev: int, arity: int, d: int, limit: int) -> int:
+    """The number of depth-d terms with one head of this arity, given size
+    terms of depth < d of which prev have depth < d - 1; any number above
+    limit when that count is larger."""
+    if arity == 0:
+        return int(d == 1)
+    if size > 1 and arity > limit.bit_length():
+        # prev < size, so the count is at least size**(arity-1) >= 2**(arity-1)
+        return limit + 1
+    return size**arity - prev**arity
 
 
 def substitute(term: Term, assignment: Mapping[str, Term]) -> Term:

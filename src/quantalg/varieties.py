@@ -14,12 +14,12 @@ distances further, so the result is an upper bound and is flagged as such.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from types import SimpleNamespace
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .algebras import (
+    DEFAULT_PAIR_CAP,
     Homomorphism,
     OpViolation,
     QuantAlgebra,
@@ -39,7 +39,6 @@ from .terms import (
     Term,
     check_term,
     enumerate_terms,
-    evaluate,
     op,
     term_distance,
     var,
@@ -123,15 +122,86 @@ def satisfies(
             total,
             max_assignments,
         )
-    for values in itertools.product(points, repeat=len(equation.variables)):
-        assignment = dict(zip(equation.variables, values))
-        d = algebra.carrier.dist(
-            evaluate(equation.lhs, algebra, assignment),
-            evaluate(equation.rhs, algebra, assignment),
-        )
-        if d > equation.epsilon:
-            return SatisfactionResult(False, assignment, d)
+    index = {p: i for i, p in enumerate(points)}
+    tables = {
+        name: {tuple(map(index.__getitem__, key)): index[value] for key, value in table.items()}
+        for name, table in algebra.tables.items()
+    }
+    rows, eps = algebra.carrier.rows, equation.epsilon
+    far: dict[tuple[int, int], bool] = {}
+    for values, i, j in _instances(equation, len(points), tables):
+        if i != j:
+            apart = far.get((i, j))
+            if apart is None:
+                apart = far[i, j] = rows[i][j] > eps
+            if apart:
+                witness = dict(zip(equation.variables, (points[v] for v in values)))
+                return SatisfactionResult(False, witness, rows[i][j])
     return SatisfactionResult(True)
+
+
+def _instances(
+    equation: QuantEquation, n: int, tables: Mapping[str, Mapping[tuple[int, ...], int]]
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Every assignment of indices in range(n) to the equation's variables,
+    in lexicographic order, under which both sides are defined, as
+    (values, lhs, rhs).
+
+    tables[name] maps child index tuples to an index; a missing key (or
+    symbol) means undefined.  Each distinct composite subterm is numbered
+    once and evaluated at the level of its last variable, so once per
+    binding of that variable; ground subterms are evaluated once.  An
+    undefined subterm skips every assignment that extends the prefix
+    bound so far.
+    """
+    k = len(equation.variables)
+    # env holds the variables' values in slots 0..k-1, then the subterms';
+    # a slot's level is the number of variables bound when it is computed
+    slots: dict[Term, int] = {var(v): i for i, v in enumerate(equation.variables)}
+    levels = list(range(1, k + 1))
+    stages: list[list[tuple[int, Mapping, Callable]]] = [[] for _ in range(k + 1)]
+
+    def number(t: Term) -> int:
+        if t not in slots:
+            children = [number(a) for a in t.args]
+            level = max((levels[c] for c in children), default=0)
+            if len(children) == 1:
+                c = children[0]
+                get = lambda env: (env[c],)
+            elif children:  # itemgetter of two or more slots returns their tuple
+                get = itemgetter(*children)
+            else:
+                get = lambda env: ()
+            slots[t] = len(levels)
+            levels.append(level)
+            stages[level].append((slots[t], tables.get(t.head, {}), get))
+        return slots[t]
+
+    lhs, rhs = number(equation.lhs), number(equation.rhs)
+    env = [0] * len(levels)
+
+    def defined(stage) -> bool:
+        for slot, table, get in stage:
+            value = table.get(get(env))
+            if value is None:
+                return False
+            env[slot] = value
+        return True
+
+    def bind(i: int):  # variable i, then the later ones
+        for v in range(n):
+            env[i] = v
+            if defined(stages[i + 1]):
+                if i + 1 < k:
+                    yield from bind(i + 1)
+                else:
+                    yield tuple(env[:k]), env[lhs], env[rhs]
+
+    if defined(stages[0]):
+        if k:
+            yield from bind(0)
+        else:
+            yield (), env[lhs], env[rhs]
 
 
 @dataclass(frozen=True)
@@ -215,6 +285,10 @@ class BoundedFreeAlgebra:
     variables under which both sides evaluate inside the depth window, so
     deeper proofs may lower distances further.  The flag is always True to
     make the approximation explicit.
+
+    The instances are found by evaluating both sides on term indices, one
+    variable at a time: a subterm that leaves the window cuts off every
+    assignment that extends the variables bound so far.
     """
 
     terms: tuple[Term, ...]
@@ -250,35 +324,31 @@ def free_in_variety_bounded(
     terms = enumerate_terms(variety.signature, space.points, depth, max_terms)
     index = {t: i for i, t in enumerate(terms)}
     n = len(terms)
+    if n * n > DEFAULT_PAIR_CAP:
+        raise CapExceededError("term matrix entries", n * n, DEFAULT_PAIR_CAP)
     matrix: list[list[Dist]] = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             d = term_distance(terms[i], terms[j], space)
             matrix[i][j] = matrix[j][i] = d
 
-    ids = {
-        (t.head, tuple(index[a] for a in t.args)): i
-        for i, t in enumerate(terms) if t.args is not None
-    }
-    # the window as a partial algebra on term indices: None past the depth
-    # bound, and so above any None, since no key holds one
-    window = SimpleNamespace(op=lambda name, args: ids.get((name, args)))
+    # the window as a partial algebra on term indices: per head, the child
+    # index tuples of the window's composites; past the depth bound, undefined
+    tables: dict[str, dict[tuple[int, ...], int]] = {}
+    for i, t in enumerate(terms):
+        if t.args is not None:
+            tables.setdefault(t.head, {})[tuple(index[a] for a in t.args)] = i
     for eq in variety.equations:
         count = n ** len(eq.variables)
         if count > max_instances:
             raise CapExceededError("equation instance enumeration", count, max_instances)
-        for values in itertools.product(range(n), repeat=len(eq.variables)):
-            assignment = dict(zip(eq.variables, values))
-            i = evaluate(eq.lhs, window, assignment)
-            j = None if i is None else evaluate(eq.rhs, window, assignment)
-            if j is not None and eq.epsilon < matrix[i][j]:
+        for _, i, j in _instances(eq, n, tables):
+            if eq.epsilon < matrix[i][j]:
                 matrix[i][j] = matrix[j][i] = eq.epsilon
 
-    by_head: dict[str, list[tuple[tuple[int, ...], int]]] = {}
-    for (head, args), i in ids.items():
-        by_head.setdefault(head, []).append((args, i))
     rules = InstanceTable(n, (
-        (head, pair_instances(n, *zip(*members))) for head, members in sorted(by_head.items())
+        (head, pair_instances(n, list(table), list(table.values())))
+        for head, table in sorted(tables.items())
     ))
     cap = max_passes if max_passes is not None else 16 * n * n * (1 + len(rules))
     closure_fixpoint(matrix, rules, max(cap, 1))

@@ -5,7 +5,8 @@ calling the code under test: repeated-relaxation shortest paths, a
 union-find congruence closure over operation tables, a brute-force search
 for the largest valid congruence matrix over a value grid, a
 backtracking isometry search, the congruence closure and the axiom and
-nonexpansiveness reports computed directly on Dist values, and the
+nonexpansiveness reports computed directly on Dist values, equation
+instances found by evaluating both sides under every assignment, and the
 bounded free algebra built by substituting terms into the equations.
 """
 
@@ -405,3 +406,47 @@ def free_matrix_by_substitution(variety, space, depth, max_terms, max_instances)
     ]
     closure_sweeps(m, rules, 16 * n * n * (1 + len(rules)))
     return terms, m
+
+
+def _value(term, tables, assignment):
+    """The value of a term under the assignment, or None where a table has
+    no entry for the children's values."""
+    if term.args is None:
+        return assignment[term.head]
+    children = tuple(_value(a, tables, assignment) for a in term.args)
+    return tables.get(term.head, {}).get(children)
+
+
+def instances_by_product(equation, n, tables):
+    """(values, lhs, rhs) for every assignment of range(n) to the variables,
+    in itertools.product order, under which both sides have a value."""
+    out = []
+    for values in itertools.product(range(n), repeat=len(equation.variables)):
+        assignment = dict(zip(equation.variables, values))
+        lhs = _value(equation.lhs, tables, assignment)
+        rhs = _value(equation.rhs, tables, assignment)
+        if lhs is not None and rhs is not None:
+            out.append((values, lhs, rhs))
+    return out
+
+
+def satisfies_by_evaluation(algebra, equation, max_assignments):
+    """(ok, least violating assignment, its distance): both sides evaluated
+    from scratch under every assignment of points, in lexicographic order."""
+    points = algebra.carrier.points
+    total = len(points) ** len(equation.variables)
+    if total > max_assignments:
+        raise CapExceededError(
+            "assignment enumeration (reduce the variable count or the carrier)",
+            total,
+            max_assignments,
+        )
+    for values in itertools.product(points, repeat=len(equation.variables)):
+        assignment = dict(zip(equation.variables, values))
+        d = algebra.carrier.dist(
+            _value(equation.lhs, algebra.tables, assignment),
+            _value(equation.rhs, algebra.tables, assignment),
+        )
+        if d > equation.epsilon:
+            return False, assignment, d
+    return True, None, None

@@ -247,20 +247,41 @@ def rand_signature(rng: random.Random, max_symbols=3, max_arity=3) -> Signature:
     return Signature([(name, rng.randint(0, max_arity)) for name in names])
 
 
-def rand_term(rng: random.Random, signature: Signature, variables, depth: int):
-    if depth == 0 or rng.random() < 0.3:
-        return var(rng.choice(variables))
-    name, arity = rng.choice(signature.symbols)
-    return op(name, *(rand_term(rng, signature, variables, depth - 1) for _ in range(arity)))
+def rand_equation(rng: random.Random, signature: Signature, depth=2) -> QuantEquation:
+    """An equation between random terms of depth <= depth + 1 over up to
+    three variables, some of which may go unused, or over none at all.
+
+    Leaves are variables and constants, a side is sometimes ground, and
+    subterms drawn earlier are drawn again, so that the sides share
+    subterms such as m(m(x, y), m(x, y)).
+    """
+    constants = [op(name) for name, arity in signature.symbols if arity == 0]
+    variables = rng.sample(["x", "y", "z"], rng.randint(0 if constants else 1, 3))
+    drawn: list = []
+
+    def term(depth, leaves):
+        names = {t.head for t in leaves if t.args is None}
+        again = [t for t in drawn if t.depth() <= depth + 1 and t.generators() <= names]
+        if again and rng.random() < 0.25:
+            return rng.choice(again)
+        if depth == 0 or not signature.symbols or rng.random() < 0.3:
+            t = rng.choice(leaves)
+        else:
+            name, arity = rng.choice(signature.symbols)
+            t = op(name, *(term(depth - 1, leaves) for _ in range(arity)))
+        drawn.append(t)
+        return t
+
+    def side():
+        ground = not variables or (constants and rng.random() < 0.15)
+        return term(depth, constants if ground else [var(v) for v in variables] + constants)
+
+    lhs, rhs = side(), side()
+    eps = ZERO if rng.random() < 0.4 else Dist(rand_fraction(rng, 3, 3))
+    return QuantEquation(variables, lhs, rhs, eps)
 
 
 def rand_variety(rng: random.Random, signature: Signature, max_equations=3) -> VarietyPresentation:
-    """Equations between random terms of depth <= 2 over up to three
-    variables, some of which may go unused."""
-    equations = []
-    for _ in range(rng.randint(1, max_equations)):
-        variables = rng.sample(["x", "y", "z"], rng.randint(1, 3))
-        lhs, rhs = (rand_term(rng, signature, variables, 2) for _ in range(2))
-        eps = ZERO if rng.random() < 0.4 else Dist(rand_fraction(rng, 3, 3))
-        equations.append(QuantEquation(variables, lhs, rhs, eps))
+    """One to max_equations equations drawn by rand_equation."""
+    equations = [rand_equation(rng, signature) for _ in range(rng.randint(1, max_equations))]
     return VarietyPresentation(signature, equations)

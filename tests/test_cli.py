@@ -367,6 +367,19 @@ def test_json_outputs_are_deterministic_and_reparse(files, capsys):
     jsonio.hom_from_doc(parsed["embedding"])
 
 
+# free-bounded checks the window's size before it allocates: without those
+# checks the first two signatures allocated without bound, so to run these
+# tests against an older revision, limit its memory with ulimit -v.
+@pytest.mark.parametrize("arity, code, kind", [(100_000, 3, "cap"), (16, 3, "cap"), (True, 2, "structural")])
+def test_free_bounded_bad_signatures_fail_cleanly(files, capsys, arity, code, kind):
+    variety = files("v.json", {"signature": [["f", arity]], "equations": []})
+    space = files("m.json", {"points": ["x", "y"], "dist": []})
+    got, out, err = run(capsys, "--format", "json", "free-bounded", variety, space, "--depth", "1")
+    assert (got, out) == (code, "")
+    assert json.loads(err)["error"]["kind"] == kind
+    assert "Traceback" not in err
+
+
 def test_cap_exit_code(files, capsys):
     alg = _monoid_docs(files)
     eq = files(

@@ -133,6 +133,13 @@ def test_equation_and_variety_docs():
     assert variety_from_doc(json.loads(canonical_dumps(variety_to_doc(variety)))) == variety
 
 
+def test_boolean_arity_is_a_structural_error():
+    # bool is an int subclass, so json true would otherwise read as arity 1
+    for arity in (True, False):
+        with pytest.raises(StructuralError, match="bad signature entry"):
+            variety_from_doc({"signature": [["add", arity]], "equations": []})
+
+
 def test_canonical_dumps_deterministic():
     s = make_space(["a", "b"], {("a", "b"): 1})
     assert canonical_dumps(space_to_doc(s)) == canonical_dumps(space_to_doc(s))

@@ -26,6 +26,8 @@ from quantalg import (
     var,
 )
 
+from quantalg.terms import DEFAULT_TERM_CAP
+
 import strategies as G
 from oracles import enumerate_terms_sorted
 
@@ -117,6 +119,25 @@ def test_enumerate_cap():
         enumerate_terms(sig, ["a", "b", "c"], 3, max_terms=100)
 
 
+# Each layer is counted before it is built: without that count a symbol of
+# arity 100000 allocated without bound, so to run this test against an
+# older revision, limit its memory with ulimit -v.
+def test_enumerate_counts_a_layer_before_building_it():
+    sig = Signature([("f", 100_000)])
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_terms(sig, ["a", "b"], 1)
+    assert (exc.value.needed, exc.value.cap) == (DEFAULT_TERM_CAP + 1, DEFAULT_TERM_CAP)
+    # over one generator the symbol gives one term at depth 1, then 2**100000 - 1
+    assert len(enumerate_terms(sig, ["a"], 1)) == 2
+    with pytest.raises(CapExceededError):
+        enumerate_terms(sig, ["a"], 2)
+    # 2 + 2**16 terms fit the cap exactly or miss it by one
+    assert len(enumerate_terms(Signature([("g", 16)]), ["a", "b"], 1, 65_538)) == 65_538
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_terms(Signature([("g", 16)]), ["a", "b"], 1, 65_537)
+    assert (exc.value.needed, exc.value.cap) == (65_538, 65_537)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds)
 def test_enumeration_matches_sorted_oracle(seed):
@@ -135,6 +156,25 @@ def test_enumeration_matches_sorted_oracle(seed):
         assert (got.value.needed, got.value.cap, str(got.value)) == (exc.needed, exc.cap, str(exc))
         return
     assert enumerate_terms(sig, gens, depth, cap) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_enumeration_fits_a_cap_equal_to_its_size(seed):
+    # each layer is counted exactly before it is built: a cap of exactly
+    # the term count is met, and one less is exceeded by one
+    rng = random.Random(seed)
+    sig = G.rand_signature(rng)
+    gens = rng.choices(["c", "a", "b"], k=rng.randint(0, 4))
+    depth = rng.randint(0, 3)
+    try:
+        want = enumerate_terms_sorted(sig, gens, depth, 2000)
+    except CapExceededError:
+        return
+    assert enumerate_terms(sig, gens, depth, len(want)) == want
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_terms(sig, gens, depth, len(want) - 1)
+    assert exc.value.needed == len(want)
 
 
 def test_evaluate():

@@ -37,10 +37,11 @@ from quantalg import (
     truncated_addition_monoid,
     var,
 )
-from quantalg.varieties import SatisfactionResult
+from quantalg.algebras import DEFAULT_PAIR_CAP
+from quantalg.varieties import SatisfactionResult, _instances
 
 import strategies as G
-from oracles import free_matrix_by_substitution
+from oracles import free_matrix_by_substitution, instances_by_product, satisfies_by_evaluation
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -145,6 +146,61 @@ def test_satisfies_cap():
     )
     with pytest.raises(CapExceededError):
         satisfies(alg, eq, max_assignments=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_satisfies_matches_evaluation_oracle(seed):
+    # constants, ground sides, unused or no variables, shared subterms and
+    # ternary symbols, against both sides evaluated from scratch
+    rng = random.Random(seed)
+    alg = G.rand_valid_algebra(rng, max_points=4, max_symbols=3, max_arity=3)
+    eq = G.rand_equation(rng, alg.signature)
+    if rng.random() < 0.3:
+        eq = QuantEquation(eq.variables, eq.lhs, eq.rhs, rng.randint(1, 12))
+    cap = rng.choice([rng.randint(1, 80), 1000])
+    try:
+        want = satisfies_by_evaluation(alg, eq, cap)
+    except CapExceededError as exc:
+        with pytest.raises(CapExceededError) as got:
+            satisfies(alg, eq, cap)
+        assert (got.value.needed, got.value.cap, str(got.value)) == (exc.needed, exc.cap, str(exc))
+        return
+    result = satisfies(alg, eq, cap)
+    assert (result.ok, result.witness, result.distance) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_instances_match_product_loop_on_partial_tables(seed):
+    # tables with missing keys and missing symbols: the staged evaluator
+    # yields exactly the defined instances of the brute-force loop, in order
+    rng = random.Random(seed)
+    sig = G.rand_signature(rng)
+    eq = G.rand_equation(rng, sig)
+    n = rng.randint(1, 4)
+    keep = rng.random()
+    tables = {
+        name: {
+            args: rng.randrange(n)
+            for args in itertools.product(range(n), repeat=arity)
+            if rng.random() < keep
+        }
+        for name, arity in sig.symbols
+        if rng.random() < 0.9
+    }
+    assert list(_instances(eq, n, tables)) == instances_by_product(eq, n, tables)
+
+
+def test_instances_share_subterms_and_skip_undefined_prefixes():
+    x, y, z = var("x"), var("y"), var("z")
+    xy = op("m", x, y)
+    eq = QuantEquation(["x", "y", "z"], op("m", xy, xy), op("m", op("c"), z), 0)
+    tables = {"m": {(0, 0): 1, (1, 1): 0, (0, 1): 2}, "c": {(): 1}}
+    # m(1, z) is defined for z = 1 only; m(m(x, y), m(x, y)) is defined for
+    # (x, y) = (0, 0) and (1, 1), and at (0, 1) it cuts off every z
+    assert list(_instances(eq, 3, tables)) == [((0, 0, 1), 0, 0), ((1, 1, 1), 1, 0)]
+    assert list(_instances(eq, 3, {"m": tables["m"]})) == []  # no constant
 
 
 def test_in_variety_monoid_axioms():
@@ -299,6 +355,25 @@ def test_free_bounded_matches_substitution_oracle(seed):
     free = free_in_variety_bounded(variety, space, depth, **caps)
     assert list(free.terms) == terms
     assert [list(row) for row in free.matrix] == want
+
+
+# The bounded free algebra checks its sizes before it allocates: without
+# these checks the two signatures below allocated without bound, so to run
+# these tests against an older revision, limit its memory with ulimit -v.
+def test_free_bounded_huge_arity_hits_the_term_cap():
+    variety = VarietyPresentation(Signature([("f", 100_000)]), [])
+    with pytest.raises(CapExceededError) as exc:
+        free_in_variety_bounded(variety, discrete_space(["a", "b"]), 1)
+    assert (exc.value.kind, exc.value.needed, exc.value.cap) == ("term enumeration", 100_001, 100_000)
+
+
+def test_free_bounded_term_matrix_hits_the_pair_cap():
+    # 2 + 2**16 terms, under the term cap, but a matrix of 4.3e9 entries
+    variety = VarietyPresentation(Signature([("f", 16)]), [])
+    with pytest.raises(CapExceededError) as exc:
+        free_in_variety_bounded(variety, discrete_space(["a", "b"]), 1)
+    assert exc.value.kind == "term matrix entries"
+    assert (exc.value.needed, exc.value.cap) == (65_538**2, DEFAULT_PAIR_CAP)
 
 
 def test_demo_report():
