@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .distance import Dist, dist_max, dist_sum
 from .errors import CapExceededError, Frozen, InvariantError, StructuralError
-from .matrix import InstanceTable, pair_instances, scale, stretched
+from .matrix import pair_instances, scale, stretched
 from .spaces import MetricSpace, SpaceMap, product_space, subspace, tuple_label
 from .terms import Signature
 
@@ -121,30 +122,39 @@ def _symbol_instances(algebra: QuantAlgebra, name: str, arity: int, max_pairs: i
     return pair_instances(n, list(itertools.product(range(n), repeat=arity)), outs)
 
 
-def operation_instances(algebra: QuantAlgebra, max_pairs: int = DEFAULT_PAIR_CAP) -> InstanceTable:
-    """The operation-instance table: every pair of argument tuples, in
-    signature and lexicographic order, whose outputs differ."""
-    return InstanceTable(algebra.carrier.n, (
-        (name, _symbol_instances(algebra, name, arity, max_pairs))
-        for name, arity in algebra.signature.symbols
-    ))
+def operation_instances(algebra: QuantAlgebra, max_pairs: int = DEFAULT_PAIR_CAP) -> list[tuple]:
+    """Every pair of argument tuples, in signature and lexicographic order,
+    whose outputs differ, as an instance (see pair_instances)."""
+    return [inst for name, arity in algebra.signature.symbols
+            for chunk in _symbol_instances(algebra, name, arity, max_pairs) for inst in chunk]
+
+
+def _stretched_instances(
+    algebra: QuantAlgebra, rows, symbols: Sequence[tuple[str, int]], combiner: str, max_pairs: int
+) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(symbol, instance) for each instance, in operation_instances order,
+    whose output entry in the matrix ``rows`` on the carrier exceeds the max
+    (or sum) of its coordinate entries; one chunk is held at a time."""
+    (m,), _, inf = scale(rows)
+    for symbol, arity in symbols:
+        for chunk in _symbol_instances(algebra, symbol, arity, max_pairs):
+            for inst in stretched(m, inf, chunk, combiner):
+                yield symbol, inst
 
 
 def _nonexpansion_report(
     algebra: QuantAlgebra, symbols: Sequence[tuple[str, int]], combiner: str, max_pairs: int
 ) -> list[OpViolation]:
-    # streams one chunk of instances at a time, so memory stays O(n^arity)
     combine = dist_max if combiner == "max" else dist_sum
     carrier = algebra.carrier
     pts, n = carrier.points, carrier.n
-    (m,), _, inf = scale(carrier.rows)
     out: list[OpViolation] = []
-    for symbol, arity in symbols:
+    stream = _stretched_instances(algebra, carrier.rows, symbols, combiner, max_pairs)
+    for symbol, group in itertools.groupby(stream, itemgetter(0)):
         pairs = []
-        for chunk in _symbol_instances(algebra, symbol, arity, max_pairs):
-            for inst in stretched(m, inf, chunk, combiner):
-                xs, ys = tuple(c // n for c in inst[2:]), tuple(c % n for c in inst[2:])
-                pairs += [(xs, ys), (ys, xs)]  # the carrier metric is symmetric
+        for _, inst in group:
+            xs, ys = tuple(c // n for c in inst[2:]), tuple(c % n for c in inst[2:])
+            pairs += [(xs, ys), (ys, xs)]  # the carrier metric is symmetric
         for xs, ys in sorted(pairs):
             left = tuple(pts[i] for i in xs)
             right = tuple(pts[i] for i in ys)
@@ -217,9 +227,8 @@ def hom_violations(
     if source.signature != target.signature:
         problems.append("source and target signatures differ")
         return problems
-    for x, y in source.carrier.point_pairs():
-        if target.carrier.dist(mapping[x], mapping[y]) > source.carrier.dist(x, y):
-            problems.append(f"expands the pair ({x!r}, {y!r})")
+    carrier_map = SpaceMap._derived(source.carrier, target.carrier, mapping)
+    problems += [f"expands the pair {pair}" for pair in carrier_map.expanding_pairs()]
     for name, arity in source.signature.symbols:
         for xs in itertools.product(source.carrier.points, repeat=arity):
             image = target.op(name, tuple(mapping[x] for x in xs))

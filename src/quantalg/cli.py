@@ -15,6 +15,7 @@ documents.  Reports go to standard output, errors to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,8 +39,9 @@ from .errors import (
     StructuralError,
 )
 from .spaces import MetricSpace, coproduct, product, space_violations, tensor
-from .terms import parse_term, term_distance
+from .terms import DEFAULT_TERM_CAP, parse_term, term_distance
 from .varieties import (
+    DEFAULT_ASSIGNMENT_CAP,
     birkhoff_soundness,
     counterexample_demo,
     free_in_variety_bounded,
@@ -349,11 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_caps(p, assignments=False, passes=False, terms=False):
         if assignments:
-            p.add_argument("--max-assignments", type=int, default=1_000_000)
+            p.add_argument("--max-assignments", type=int, default=DEFAULT_ASSIGNMENT_CAP)
         if passes:
             p.add_argument("--max-passes", type=int, default=None)
         if terms:
-            p.add_argument("--max-terms", type=int, default=100_000)
+            p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_CAP)
 
     p = sub.add_parser("validate", help="validate a space, algebra, or subcongruence")
     p.add_argument("kind", choices=("space", "algebra", "subcongruence"))
@@ -436,10 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first call, once per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_STRUCTURAL if exc.code not in (0, None) else EXIT_OK
     rep = Reporter(args.command, args.format)

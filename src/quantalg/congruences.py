@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebras import DEFAULT_PAIR_CAP, Homomorphism, QuantAlgebra, op_tables, operation_instances
+from .algebras import (
+    DEFAULT_PAIR_CAP, Homomorphism, QuantAlgebra, _stretched_instances, op_tables, operation_instances
+)
 from .distance import Dist, ZERO, dist_max
-from .errors import ConvergenceError, Frozen, InvariantError, StructuralError
-from .matrix import InstanceTable, min_plus_sweep, propagation_sweep, scale, stretched, unscale
+from .errors import ConvergenceError, Frozen, InvariantError, StructuralError, check_cap
+from .matrix import min_plus_sweep, propagation_sweep, scale, unscale
 from .spaces import (
     MetricSpace,
     PseudoSpace,
@@ -174,7 +176,7 @@ def product_subcongruence(s1: Subcongruence, s2: Subcongruence) -> Subcongruence
     return Subcongruence._derived(prod.space, rows)
 
 
-def closure_fixpoint(matrix: list[list[Dist]], rules: InstanceTable, pass_cap: int) -> int:
+def closure_fixpoint(matrix: list[list[Dist]], rules: Sequence[tuple], pass_cap: int) -> int:
     """Alternate full min-plus sweeps with propagation sweeps, in place.
 
     The matrix must be symmetric with a zero diagonal.  Stops after a full
@@ -237,16 +239,14 @@ def compatibility_violations(
 ) -> list[Violation]:
     """Tuple pairs where an operation stretches d-hat beyond the maximum of
     the coordinate d-hat distances."""
-    table = operation_instances(algebra, max_pairs)
-    (m,), _, inf = scale(sub.dhat)
-    n, pts = table.n, algebra.carrier.points
+    n, pts = algebra.carrier.n, algebra.carrier.points
     out: list[Violation] = []
-    for _, instances in table.blocks:
-        for inst in stretched(m, inf, instances):
-            i, j = divmod(inst[0], n)
-            bound = dist_max(sub.dhat[c // n][c % n] for c in inst[2:])
-            detail = f"{sub.dhat[i][j]} > coordinate bound {bound}"
-            out.append(Violation("compatibility", (pts[i], pts[j]), detail))
+    stream = _stretched_instances(algebra, sub.dhat, algebra.signature.symbols, "max", max_pairs)
+    for _, inst in stream:
+        i, j = divmod(inst[0], n)
+        bound = dist_max(sub.dhat[c // n][c % n] for c in inst[2:])
+        detail = f"{sub.dhat[i][j]} > coordinate bound {bound}"
+        out.append(Violation("compatibility", (pts[i], pts[j]), detail))
     return out
 
 
@@ -266,6 +266,7 @@ def generated_congruence(
     triangle inequality and respects every operation, so it is not checked
     again.
     """
+    check_cap("pass", max_passes, 1)
     carrier = algebra.carrier
     m = [list(row) for row in carrier.rows]
     for x, y, eps in constraints:
@@ -276,7 +277,7 @@ def generated_congruence(
     rules = operation_instances(algebra, max_pairs)
     n = carrier.n
     cap = max_passes if max_passes is not None else 16 * n * n * (1 + algebra.table_size())
-    closure_fixpoint(m, rules, max(cap, 1))
+    closure_fixpoint(m, rules, cap)
     return CongruenceOnAlgebra._derived(algebra, Subcongruence._derived(carrier, m))
 
 
@@ -329,9 +330,9 @@ def universal_property_check(sub: Subcongruence, q, candidate) -> UniversalCheck
     q, c = _as_map(q), _as_map(candidate)
     if set(q.source.points) != set(sub.base.points) or set(c.source.points) != set(sub.base.points):
         raise StructuralError("maps must start from the subcongruence base")
-    for x, y in sub.base.point_pairs():
-        if c.target.dist(c(x), c(y)) > sub.d(x, y):
-            return UniversalCheck(False, None, "candidate violates the compatibility bound", (x, y))
+    witness = SpaceMap._derived(sub.as_pseudo_space(), c.target, c.mapping).expansion_witness()
+    if witness is not None:
+        return UniversalCheck(False, None, "candidate violates the compatibility bound", witness)
     factor: dict[str, str] = {}
     definer: dict[str, str] = {}
     for x in sub.base.points:

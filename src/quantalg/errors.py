@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the immutable base of
-the validated value types.
+"""Exception types shared across the package, the immutable base of the
+validated value types, and the check of caps given by a caller.
 
 Structural problems (malformed input data) are kept distinct from semantic
 violations (well-formed data that breaks an axiom): the former raise
@@ -55,6 +55,13 @@ class Frozen:
         self = object.__new__(cls)
         self._set(*args)
         return self
+
+
+def check_cap(kind: str, cap: int | None, least: int = 0) -> None:
+    """Reject a given cap below its least meaningful value (None means the
+    default budget)."""
+    if cap is not None and cap < least:
+        raise StructuralError(f"{kind} cap must be at least {least}, got {cap}")
 
 
 class CapExceededError(QuantalgError):

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import add, ne
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .distance import INF, Dist
 
@@ -56,30 +56,13 @@ def unscale(value: int, unit: int, inf: int) -> Dist:
     return INF if value >= inf else Dist(Fraction(value, unit))
 
 
-class InstanceTable:
-    """Operation instances over n points, as blocks (symbol, instances).
-
-    An instance is one pair of argument tuples whose outputs differ,
-    stored flat as (out_lr, out_rl, c_1, ..., c_k): the cells of the
-    output pair in both orders, then the cell of each coordinate pair.
-    The constructor takes each symbol's instances in chunks, as
-    ``pair_instances`` yields them.  ``len`` counts instances.
-    """
-
-    def __init__(self, n: int, blocks: Iterable[tuple[str, Iterable[list[tuple[int, ...]]]]]):
-        self.n = n
-        self.blocks = [(name, [i for chunk in chunks for i in chunk]) for name, chunks in blocks]
-
-    def __len__(self) -> int:
-        return sum(len(instances) for _, instances in self.blocks)
-
-
 def pair_instances(
     n: int, args: Sequence[Sequence[int]], outs: Sequence[int]
 ) -> Iterator[list[tuple[int, ...]]]:
     """For each argument tuple a in order (point indices, one arity), the
     instances pairing it with the later tuples b whose output index
-    differs."""
+    differs, each stored flat as (out_lr, out_rl, c_1, ..., c_k): the cells
+    of the output pair in both orders, then the cell of each coordinate pair."""
     cols = list(zip(*args))  # the argument tuples, one column per position
     scaled_outs = [o * n for o in outs]
     for a, (oa, xs) in enumerate(zip(outs, args)):
@@ -128,18 +111,17 @@ def min_plus_sweep(m: list[int], n: int, inf: int) -> bool:
     return changed
 
 
-def propagation_sweep(m: list[int], table: InstanceTable) -> bool:
+def propagation_sweep(m: list[int], rules: Sequence[tuple[int, ...]]) -> bool:
     """Lower each output pair to the maximum of its coordinate pairs, in
-    table order and reading entries as they change; True when one did."""
+    rule order and reading entries as they change; True when one did."""
     changed = False
     get = m.__getitem__
-    for _, instances in table.blocks:
-        for inst in instances:
-            out = m[inst[0]]
-            # the first and last coordinates decide most instances cheaply
-            if m[inst[2]] < out and m[inst[-1]] < out:
-                bound = max(map(get, inst[2:]))
-                if bound < out:
-                    m[inst[0]] = m[inst[1]] = bound
-                    changed = True
+    for inst in rules:
+        out = m[inst[0]]
+        # the first and last coordinates decide most instances cheaply
+        if m[inst[2]] < out and m[inst[-1]] < out:
+            bound = max(map(get, inst[2:]))
+            if bound < out:
+                m[inst[0]] = m[inst[1]] = bound
+                changed = True
     return changed

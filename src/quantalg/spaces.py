@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from operator import add
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .distance import INF, ZERO, Dist, dist_max, dist_sum
 from .errors import Frozen, InvariantError, StructuralError
@@ -262,12 +262,16 @@ class SpaceMap(Frozen):
     def is_nonexpanding(self) -> bool:
         return self.expansion_witness() is None
 
-    def expansion_witness(self) -> tuple[str, str] | None:
-        """Least pair whose image distance exceeds the source distance."""
+    def expanding_pairs(self) -> Iterator[tuple[str, str]]:
+        """The pairs of distinct points whose image distance exceeds their
+        source distance, in point order."""
         for x, y in self.source.point_pairs():
             if self.target.dist(self(x), self(y)) > self.source.dist(x, y):
-                return (x, y)
-        return None
+                yield x, y
+
+    def expansion_witness(self) -> tuple[str, str] | None:
+        """Least pair whose image distance exceeds the source distance."""
+        return next(self.expanding_pairs(), None)
 
     def is_isometric_embedding(self) -> bool:
         for x, y in itertools.combinations_with_replacement(self.source.points, 2):
@@ -358,7 +362,7 @@ class ProductResult:
 
 def _combined_space(spaces: Sequence[MetricSpace], combine) -> ProductResult:
     tuples = list(itertools.product(*(s.points for s in spaces)))
-    coords = {tuple_label(t): t for t in tuples}
+    coords = MappingProxyType({tuple_label(t): t for t in tuples})
     if len(coords) != len(tuples):
         raise StructuralError("product point labels collide; rename the input points")
     labels = sorted(coords)

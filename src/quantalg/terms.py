@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from .distance import INF, Dist, dist_max
 from .errors import CapExceededError, StructuralError
-from .spaces import PseudoSpace
+from .spaces import PseudoSpace, SpaceMap
 
 DEFAULT_TERM_CAP = 100_000
 
@@ -265,9 +265,9 @@ def hom_distance_bounded(
     for f, tag in ((f1, "first"), (f2, "second")):
         if any(p not in f for p in space.points):
             raise StructuralError(f"{tag} assignment is not total on the space")
-        for x, y in space.point_pairs():
-            if algebra.carrier.dist(f[x], f[y]) > space.dist(x, y):
-                raise StructuralError(f"{tag} assignment is not nonexpanding at ({x!r}, {y!r})")
+        witness = SpaceMap._derived(space, algebra.carrier, f).expansion_witness()
+        if witness is not None:
+            raise StructuralError(f"{tag} assignment is not nonexpanding at {witness}")
     terms = enumerate_terms(algebra.signature, space.points, depth, max_terms)
     return dist_max(
         algebra.carrier.dist(evaluate(t, algebra, f1), evaluate(t, algebra, f2))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .algebras import (
@@ -30,8 +31,8 @@ from .algebras import (
 )
 from .congruences import closure_fixpoint
 from .distance import Dist, ZERO
-from .errors import CapExceededError, StructuralError
-from .matrix import InstanceTable, pair_instances
+from .errors import CapExceededError, StructuralError, check_cap
+from .matrix import pair_instances
 from .spaces import MetricSpace, PseudoSpace, make_space
 from .terms import (
     DEFAULT_TERM_CAP,
@@ -112,6 +113,7 @@ def satisfies(
     On failure the witness is the least violating assignment together with
     the distance actually seen.
     """
+    check_cap("assignment", max_assignments)
     check_term(equation.lhs, algebra.signature, equation.variables)
     check_term(equation.rhs, algebra.signature, equation.variables)
     points = algebra.carrier.points
@@ -216,6 +218,7 @@ def in_variety(
     max_assignments: int = DEFAULT_ASSIGNMENT_CAP,
 ) -> VarietyReport:
     """Membership: the algebra satisfies every equation of the presentation."""
+    check_cap("assignment", max_assignments)
     if algebra.signature != variety.signature:
         raise StructuralError("algebra signature differs from the variety's")
     results = tuple(
@@ -321,11 +324,18 @@ def free_in_variety_bounded(
 ) -> BoundedFreeAlgebra:
     """Quotient the depth-bounded term metric by the in-window equation
     instances, closing under triangle and operation propagation."""
+    check_cap("term", max_terms)
+    check_cap("assignment", max_instances)
+    check_cap("pass", max_passes, 1)
     terms = enumerate_terms(variety.signature, space.points, depth, max_terms)
     index = {t: i for i, t in enumerate(terms)}
     n = len(terms)
     if n * n > DEFAULT_PAIR_CAP:
         raise CapExceededError("term matrix entries", n * n, DEFAULT_PAIR_CAP)
+    for eq in variety.equations:
+        count = n ** len(eq.variables)
+        if count > max_instances:
+            raise CapExceededError("equation instance enumeration", count, max_instances)
     matrix: list[list[Dist]] = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -339,26 +349,21 @@ def free_in_variety_bounded(
         if t.args is not None:
             tables.setdefault(t.head, {})[tuple(index[a] for a in t.args)] = i
     for eq in variety.equations:
-        count = n ** len(eq.variables)
-        if count > max_instances:
-            raise CapExceededError("equation instance enumeration", count, max_instances)
         for _, i, j in _instances(eq, n, tables):
             if eq.epsilon < matrix[i][j]:
                 matrix[i][j] = matrix[j][i] = eq.epsilon
 
-    rules = InstanceTable(n, (
-        (head, pair_instances(n, list(table), list(table.values())))
-        for head, table in sorted(tables.items())
-    ))
+    rules = [inst for _, table in sorted(tables.items())
+             for chunk in pair_instances(n, list(table), list(table.values())) for inst in chunk]
     cap = max_passes if max_passes is not None else 16 * n * n * (1 + len(rules))
-    closure_fixpoint(matrix, rules, max(cap, 1))
+    closure_fixpoint(matrix, rules, cap)
     return BoundedFreeAlgebra(
         tuple(terms),
         tuple(str(t) for t in terms),
         tuple(tuple(row) for row in matrix),
         depth,
         True,
-        index,
+        MappingProxyType(index),
     )
 
 

@@ -4,10 +4,11 @@ Everything here is deliberately written from the definitions, not by
 calling the code under test: repeated-relaxation shortest paths, a
 union-find congruence closure over operation tables, a brute-force search
 for the largest valid congruence matrix over a value grid, a
-backtracking isometry search, the congruence closure and the axiom and
-nonexpansiveness reports computed directly on Dist values, equation
-instances found by evaluating both sides under every assignment, and the
-bounded free algebra built by substituting terms into the equations.
+backtracking isometry search, the congruence closure and the axiom,
+nonexpansiveness and compatibility reports computed directly on Dist
+values, equation instances found by evaluating both sides under every
+assignment, and the bounded free algebra built by substituting terms into
+the equations.
 """
 
 from __future__ import annotations
@@ -226,13 +227,13 @@ def operation_rules(algebra):
     return rules
 
 
-def table_rules(table):
-    """The rules of an instance table, decoded to the form above."""
+def table_rules(table, n):
+    """The rules of a list of instances over n points, decoded to the form
+    above."""
     rules = []
-    for _, instances in table.blocks:
-        for inst in instances:
-            out_l, out_r = divmod(inst[0], table.n)
-            rules.append((tuple(divmod(c, table.n) for c in inst[2:]), out_l, out_r))
+    for inst in table:
+        out_l, out_r = divmod(inst[0], n)
+        rules.append((tuple(divmod(c, n) for c in inst[2:]), out_l, out_r))
     return rules
 
 
@@ -334,6 +335,26 @@ def op_report(algebra, symbol, combiner):
             actual = carrier.dist(algebra.op(symbol, xs), algebra.op(symbol, ys))
             if actual > bound:
                 out.append((symbol, xs, ys, bound, actual))
+    return out
+
+
+def compatibility_report(algebra, dhat):
+    """Per symbol, the argument-tuple pairs a < b (lexicographically) where
+    the matrix distance of the outputs exceeds the maximum of the
+    coordinate distances, as the Violations of compatibility_violations."""
+    pts = list(algebra.carrier.points)
+    index = {p: i for i, p in enumerate(pts)}
+    out = []
+    for name, arity in algebra.signature.symbols:
+        tuples = itertools.product(pts, repeat=arity)
+        for xs, ys in itertools.combinations(tuples, 2):
+            i, j = index[algebra.op(name, xs)], index[algebra.op(name, ys)]
+            bound = ZERO
+            for x, y in zip(xs, ys):
+                bound = max(bound, dhat[index[x]][index[y]])
+            if dhat[i][j] > bound:
+                detail = f"{dhat[i][j]} > coordinate bound {bound}"
+                out.append(Violation("compatibility", (pts[i], pts[j]), detail))
     return out
 
 

@@ -15,6 +15,7 @@ from quantalg import (
     Signature,
     SpaceMap,
     StructuralError,
+    VarietyPresentation,
     ZERO,
     check_effectivity,
     check_op_against_combiner,
@@ -22,6 +23,7 @@ from quantalg import (
     coproduct,
     discrete_space,
     epsilon_kernel_pair,
+    free_in_variety_bounded,
     hom_distance,
     hom_violations,
     identity_hom,
@@ -35,6 +37,7 @@ from quantalg import (
     truncated_addition_monoid,
     universal_property_check,
     validate_algebra,
+    var,
 )
 
 import strategies as G
@@ -134,7 +137,17 @@ def test_hom_distance_cases():
 def test_hom_violations_and_invalid_construction():
     one = _empty_sig_algebra(make_space(["x", "y"], {("x", "y"): "1/2"}))
     two = _empty_sig_algebra(make_space(["u", "v"], {("u", "v"): 2}))
-    assert hom_violations(one, two, {"x": "u", "y": "v"})  # expands 1/2 to 2
+    assert hom_violations(one, two, {"x": "u", "y": "v"}) == ["expands the pair ('x', 'y')"]
+    line = make_space(["a", "b", "c"], {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 2})
+    sig = Signature([("f", 1)])
+    source = QuantAlgebra(line, sig, {"f": {("a",): "a", ("b",): "a", ("c",): "c"}})
+    target = QuantAlgebra(make_space(["x", "y"], {("x", "y"): 3}), sig,
+                          {"f": {("x",): "x", ("y",): "y"}})
+    assert hom_violations(source, target, {"a": "x", "b": "y", "c": "y"}) == [
+        "expands the pair ('a', 'b')",
+        "expands the pair ('a', 'c')",
+        "does not commute with 'f' at ('b',)",
+    ]
     with pytest.raises(InvariantError):
         Homomorphism(one, two, {"x": "u", "y": "v"})
 
@@ -188,6 +201,16 @@ def test_validated_values_cannot_be_changed_through_their_mappings():
     _, q = metric_reflection(alg.carrier)
     with pytest.raises(TypeError):
         q.class_of["0"] = "1"
+    prod = product_space([alg.carrier, alg.carrier])
+    with pytest.raises(TypeError):
+        prod.coords["(0,0)"] = ("1", "1")
+    assert prod.projections()[0]("(0,0)") == "0"
+    variety = VarietyPresentation(Signature([("s", 1)]), [])
+    free = free_in_variety_bounded(variety, make_space(["x", "y"], {("x", "y"): 1}), 1)
+    x, y = var("x"), var("y")
+    with pytest.raises(TypeError):
+        free._index[x] = free._index[y]
+    assert free.distance(x, y) == Dist(1)
 
 
 def test_product_algebra_and_projections():

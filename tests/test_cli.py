@@ -1,10 +1,14 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import quantalg.cli as cli
 from quantalg.cli import main
 from quantalg.jsonio import algebra_to_doc, space_to_doc, canonical_dumps
 from quantalg import make_space, truncated_addition_monoid
@@ -378,6 +382,46 @@ def test_free_bounded_bad_signatures_fail_cleanly(files, capsys, arity, code, ki
     assert (got, out) == (code, "")
     assert json.loads(err)["error"]["kind"] == kind
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("free-bounded", "--max-passes", "0"), ("free-bounded", "--max-passes", "-5"),
+    ("free-bounded", "--max-terms", "-1"), ("free-bounded", "--max-assignments", "-1"),
+    ("check-eq", "--max-assignments", "-1"), ("in-variety", "--max-assignments", "-1"),
+    ("birkhoff", "--max-assignments", "-1"), ("quotient", "--max-passes", "0"),
+])
+def test_caps_that_are_not_budgets_are_usage_errors(files, capsys, command, flag, value):
+    alg = _monoid_docs(files)
+    eq = {"vars": ["x", "y"], "lhs": "add(x, y)", "rhs": "add(y, x)", "eps": "1/4"}
+    variety = files("v.json", {"signature": [["add", 2], ["e", 0]], "equations": [eq]})
+    inputs = {
+        "free-bounded": [variety, files("m.json", {"points": ["x", "y"], "dist": []}), "--depth", "1"],
+        "check-eq": [alg, files("eq.json", eq)],
+        "in-variety": [alg, files("none.json", {"signature": [["add", 2], ["e", 0]], "equations": []})],
+        "birkhoff": [variety, alg, alg],
+        "quotient": [alg, files("cons.json", [["p0", "p1", "1/2"]])],
+    }[command]
+    code, out, err = run(capsys, "--format", "json", command, *inputs, flag, value)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["kind"] == "structural"
+    assert "Traceback" not in err
+
+
+def test_main_reuses_one_parser_without_sharing_defaults(files, capsys):
+    # --hom appends to its default list: a second call without --hom in the
+    # same process must not see the first call's homomorphism
+    alg = algebra_to_doc(truncated_addition_monoid(3))
+    variety = files("v.json", {"signature": [["add", 2], ["e", 0]], "equations": []})
+    alg_path = files("a.json", alg)
+    hom = files("h.json", {"source": alg, "target": alg, "map": [[p, p] for p in "0123"]})
+    calls = [("birkhoff", variety, alg_path, alg_path, "--hom", hom),
+             ("birkhoff", variety, alg_path, alg_path)]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "quantalg.cli", "--format", "json", *argv],
+                               capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert run(capsys, "--format", "json", *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli._parser() is cli._parser()
 
 
 def test_cap_exit_code(files, capsys):

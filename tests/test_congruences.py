@@ -36,6 +36,7 @@ from quantalg import (
     subcongruence_violations,
     universal_property_check,
 )
+from quantalg.congruences import UniversalCheck
 
 import strategies as G
 from oracles import (
@@ -407,6 +408,15 @@ def test_universal_property_refusal_witness():
     result = universal_property_check(sub, qmap, bad)
     assert not result.ok
     assert result.witness == ("a", "b")
+
+    # two violating pairs, and the first pair of points is not one of them
+    line = make_space(["a", "b", "c"], {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 2})
+    half = Subcongruence(line, [[Dist(Fraction(abs(i - j), 2)) for j in range(3)] for i in range(3)])
+    _, qmap = colimit(half)
+    bad = SpaceMap(line, make_space(["x", "z"], {("x", "z"): "3/2"}), {"a": "x", "b": "x", "c": "z"})
+    result = universal_property_check(half, qmap, bad)
+    assert result == UniversalCheck(False, None, "candidate violates the compatibility bound",
+                                    ("a", "c"))
 
     # a non-surjective "colimit map" cannot factor even a constant candidate
     wide = make_space(["x", "y"], {("x", "y"): 1})

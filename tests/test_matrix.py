@@ -17,18 +17,23 @@ from hypothesis import given, settings, strategies as st
 
 import quantalg.varieties as varieties
 from quantalg import (
+    CongruenceOnAlgebra,
     ConvergenceError,
     Dist,
     INF,
+    InvariantError,
     MetricSpace,
     QuantAlgebra,
     QuantEquation,
     Signature,
+    Subcongruence,
     VarietyPresentation,
     ZERO,
     check_op_against_combiner,
     commutativity_equation,
+    compatibility_violations,
     free_in_variety_bounded,
+    identity_subcongruence,
     monoid_equations,
     op,
     space_violations,
@@ -43,6 +48,7 @@ import strategies as G
 from oracles import (
     axiom_report,
     closure_sweeps,
+    compatibility_report,
     op_report,
     operation_rules,
     shortest_path_closure,
@@ -110,7 +116,7 @@ def test_closure_matches_dist_oracle(seed):
     start = lowered(rng, algebra.carrier)
     table = operation_instances(algebra)
     rules = operation_rules(algebra)
-    assert table_rules(table) == rules
+    assert table_rules(table, algebra.carrier.n) == rules
     assert len(table) == len(rules)
     ours, ref = copy(start), copy(start)
     assert closure_fixpoint(ours, table, 10_000) == closure_sweeps(ref, rules, 10_000)
@@ -202,7 +208,7 @@ def test_closure_matches_dist_oracle_on_free_algebra_rules(seed):
         free = free_in_variety_bounded(variety, space, depth)
     (start, table, cap, passes), = calls
     ref = copy(start)
-    assert closure_sweeps(ref, table_rules(table), cap) == passes
+    assert closure_sweeps(ref, table_rules(table, len(start)), cap) == passes
     assert [list(row) for row in free.matrix] == ref
 
 
@@ -254,10 +260,29 @@ def test_nonexpansiveness_reports_match_oracle(seed):
             )
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_compatibility_reports_match_oracle(seed):
+    # arbitrary tables against lowered and closed carriers: about a quarter
+    # of the reports are nonempty, and CongruenceOnAlgebra raises the same
+    rng = random.Random(seed)
+    algebra = random_algebra(rng)
+    sub = Subcongruence(algebra.carrier, shortest_path_closure(lowered(rng, algebra.carrier)))
+    want = compatibility_report(algebra, sub.dhat)
+    assert compatibility_violations(algebra, sub) == want
+    if want:
+        with pytest.raises(InvariantError) as exc:
+            CongruenceOnAlgebra(algebra, sub)
+        assert exc.value.violations == want
+    else:
+        assert CongruenceOnAlgebra(algebra, sub).sub == sub
+
+
 def test_validation_holds_one_chunk_of_instances_at_a_time():
     # f(x, y) = x on 20 points at distance 1: valid, and 20^4/2 argument
     # pairs, almost all with distinct outputs.  The whole instance table
-    # takes about 9 MB; validation keeps one first argument's instances.
+    # takes about 9 MB; validation and the compatibility check keep one
+    # first argument's instances.
     pts = [f"p{i:02d}" for i in range(20)]
     space = MetricSpace(pts, [[ZERO if x == y else Dist(1) for y in pts] for x in pts])
     algebra = QuantAlgebra(space, Signature([("f", 2)]), {"f": {(x, y): x for x in pts for y in pts}})
@@ -266,6 +291,7 @@ def test_validation_holds_one_chunk_of_instances_at_a_time():
     try:
         assert validate_algebra(algebra) == []
         assert check_op_against_combiner(algebra, "f", "sum") == []
+        assert compatibility_violations(algebra, identity_subcongruence(space)) == []
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -220,8 +220,11 @@ def test_hom_distance_bounded_equals_depth_zero():
 def test_hom_distance_bounded_rejects_expanding_assignment():
     alg = _max_line_monoid(4)
     m = make_space(["u", "v"], {("u", "v"): "1/2"})
-    with pytest.raises(StructuralError):
-        hom_distance_bounded(m, alg, {"u": "p0", "v": "p2"}, {"u": "p0", "v": "p0"}, 0)
+    far, near = {"u": "p0", "v": "p2"}, {"u": "p0", "v": "p0"}
+    with pytest.raises(StructuralError, match=r"^first assignment is not nonexpanding at \('u', 'v'\)$"):
+        hom_distance_bounded(m, alg, far, near, 0)
+    with pytest.raises(StructuralError, match=r"^second assignment is not nonexpanding at \('u', 'v'\)$"):
+        hom_distance_bounded(m, alg, near, far, 0)
 
 
 @settings(max_examples=40, deadline=None)

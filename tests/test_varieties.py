@@ -37,6 +37,7 @@ from quantalg import (
     truncated_addition_monoid,
     var,
 )
+import quantalg.varieties as varieties
 from quantalg.algebras import DEFAULT_PAIR_CAP
 from quantalg.varieties import SatisfactionResult, _instances
 
@@ -374,6 +375,19 @@ def test_free_bounded_term_matrix_hits_the_pair_cap():
         free_in_variety_bounded(variety, discrete_space(["a", "b"]), 1)
     assert exc.value.kind == "term matrix entries"
     assert (exc.value.needed, exc.value.cap) == (65_538**2, DEFAULT_PAIR_CAP)
+
+
+def test_free_bounded_checks_the_instance_cap_before_the_term_metric(monkeypatch):
+    # depth 3 of the commutative monoid over two points has 2707 terms, so
+    # associativity has 2707^3 assignments: the run exits on the instance
+    # cap before any entry of the O(n^2) term metric is computed
+    calls = []
+    monkeypatch.setattr(varieties, "term_distance", lambda *a: calls.append(a))
+    with pytest.raises(CapExceededError) as exc:
+        free_in_variety_bounded(monoid_variety("1/2"), discrete_space(["x", "y"]), 3)
+    assert exc.value.kind == "equation instance enumeration"
+    assert (exc.value.needed, exc.value.cap) == (2707**3, 1_000_000)
+    assert calls == []
 
 
 def test_demo_report():
