@@ -20,7 +20,7 @@ from .distance import Dist, dist_max, dist_sum
 from .errors import CapExceededError, Frozen, InvariantError, StructuralError
 from .matrix import pair_instances, scale, stretched
 from .spaces import MetricSpace, SpaceMap, product_space, subspace, tuple_label
-from .terms import Signature
+from .terms import Signature, _closed_under
 
 DEFAULT_PAIR_CAP = 10_000_000
 
@@ -325,16 +325,7 @@ def subalgebra_generated(
     for p in current:
         if p not in algebra.carrier.points:
             raise StructuralError(f"seed point {p!r} is not in the carrier")
-    while True:
-        added: set[str] = set()
-        for name, arity in algebra.signature.symbols:
-            for xs in itertools.product(sorted(current), repeat=arity):
-                value = algebra.op(name, xs)
-                if value not in current:
-                    added.add(value)
-        if not added:
-            break
-        current |= added
+    current = _closed_under(current, algebra.signature.symbols, algebra.op)
     sub_carrier = subspace(algebra.carrier, current)
     tables = op_tables(algebra.signature, sub_carrier.points, algebra.op)
     sub = QuantAlgebra._derived(sub_carrier, algebra.signature, tables)

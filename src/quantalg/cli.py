@@ -106,7 +106,7 @@ def _cmd_validate(args, rep: Reporter) -> int:
         points, rows = jsonio.space_parts_from_doc(doc["base"])
         report = space_violations(points, rows, mode="metric")
         if not report:
-            base = MetricSpace(points, rows)
+            base = MetricSpace._derived(points, rows)  # just checked
             report = subcongruence_violations(base, jsonio.dhat_rows_from_doc(doc, base))
     data = {"violations": [_violation_doc(v) for v in report]}
     rep.emit(not report, data, [str(v) for v in report] or ["valid"])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .distance import INF, Dist, dist_max
 from .errors import CapExceededError, StructuralError
@@ -191,21 +191,14 @@ def enumerate_terms(
     The depth of a generator is 0; a composite adds one to the maximum
     child depth (a constant has depth 1).  Layer d takes the symbols by
     name and their child index tuples in order, so it is built sorted.
-    Raises CapExceededError when the term count would pass max_terms.
+    Raises CapExceededError, before building any, when there are over max_terms.
     """
-    if depth < 0:
-        raise StructuralError("depth must be nonnegative")
     terms = [Term(g) for g in sorted(set(generators))]
-    if len(terms) > max_terms:
-        raise CapExceededError("term enumeration", len(terms), max_terms)
+    _window_size(signature, len(terms), depth, max_terms)
     depths = [0] * len(terms)
-    symbols = sorted(signature.symbols)
-    prev = 0  # the number of terms of depth < d - 1
     for d in range(1, depth + 1):
         size = len(terms)
-        for name, arity in symbols:
-            if len(terms) + _layer_block(size, prev, arity, d, max_terms) > max_terms:
-                raise CapExceededError("term enumeration", max_terms + 1, max_terms)
+        for name, arity in sorted(signature.symbols):
             for ids in itertools.product(range(size), repeat=arity):
                 if max((depths[i] for i in ids), default=0) != d - 1:
                     continue
@@ -213,20 +206,35 @@ def enumerate_terms(
                 depths.append(d)
         if len(terms) == size:
             break
-        prev = size
     return terms
 
 
-def _layer_block(size: int, prev: int, arity: int, d: int, limit: int) -> int:
-    """The number of depth-d terms with one head of this arity, given size
-    terms of depth < d of which prev have depth < d - 1; any number above
-    limit when that count is larger."""
-    if arity == 0:
-        return int(d == 1)
-    if size > 1 and arity > limit.bit_length():
-        # prev < size, so the count is at least size**(arity-1) >= 2**(arity-1)
-        return limit + 1
-    return size**arity - prev**arity
+def _window_size(signature: Signature, generators: int, depth: int, max_terms: int) -> int:
+    """The number of terms of depth <= depth over that many generators,
+    counted layer by layer without building them; raises as enumerate_terms
+    does, at the first symbol block of a layer that passes max_terms."""
+    if depth < 0:
+        raise StructuralError("depth must be nonnegative")
+    if generators > max_terms:
+        raise CapExceededError("term enumeration", generators, max_terms)
+    total, prev = generators, 0  # prev: the number of terms of depth < d - 1
+    for d in range(1, depth + 1):
+        size = total
+        for _, arity in sorted(signature.symbols):
+            # child tuples of depth < d less those of depth < d - 1: once
+            # size > 1 at least 2**(arity - 1), so a long arity is not computed
+            if arity == 0:
+                total += int(d == 1)
+            elif size > 1 and arity > max_terms.bit_length():
+                total = max_terms + 1
+            else:
+                total += size**arity - prev**arity
+            if total > max_terms:
+                raise CapExceededError("term enumeration", max_terms + 1, max_terms)
+        if total == size:
+            break
+        prev = size
+    return total
 
 
 def substitute(term: Term, assignment: Mapping[str, Term]) -> Term:
@@ -261,6 +269,10 @@ def hom_distance_bounded(
     every term of depth <= depth.  The extension lemma makes this equal to
     the supremum over the generators alone, at every depth; this operation
     exists so that equality can be tested.
+
+    No term is built: the value pairs of the terms of depth <= d are the
+    generator pairs (f1(p), f2(p)) closed for d rounds under the operations
+    of the product algebra.  The window is counted as by enumerate_terms.
     """
     for f, tag in ((f1, "first"), (f2, "second")):
         if any(p not in f for p in space.points):
@@ -268,8 +280,22 @@ def hom_distance_bounded(
         witness = SpaceMap._derived(space, algebra.carrier, f).expansion_witness()
         if witness is not None:
             raise StructuralError(f"{tag} assignment is not nonexpanding at {witness}")
-    terms = enumerate_terms(algebra.signature, space.points, depth, max_terms)
-    return dist_max(
-        algebra.carrier.dist(evaluate(t, algebra, f1), evaluate(t, algebra, f2))
-        for t in terms
-    )
+    _window_size(algebra.signature, len(space.points), depth, max_terms)
+    apply = lambda name, pairs: tuple(algebra.op(name, tuple(xy[k] for xy in pairs)) for k in (0, 1))
+    seed = {(f1[p], f2[p]) for p in space.points}
+    pairs = _closed_under(seed, algebra.signature.symbols, apply, depth)
+    return dist_max(algebra.carrier.dist(x, y) for x, y in pairs)
+
+
+def _closed_under(
+    seed: Iterable, symbols: Iterable[tuple[str, int]], apply: Callable, rounds: int | None = None
+) -> set:
+    """The seed closed under apply(name, args) for the (name, arity) symbols in that many
+    rounds (None: to the fixpoint); tuples an earlier round applied are skipped."""
+    reached, old, r = set(seed), None, 0
+    while (rounds is None or r < rounds) and reached != old:
+        found = {apply(name, xs) for name, arity in symbols
+                 for xs in itertools.product(reached, repeat=arity)
+                 if old is None or not old.issuperset(xs)}
+        old, reached, r = reached, reached | found, r + 1
+    return reached

@@ -6,10 +6,11 @@ of the two sides within eps.  A variety presentation is a signature plus a
 finite equation list; membership is the conjunction of satisfaction.
 
 Free algebras in a variety are computed only as a bounded-depth
-over-approximation: the term metric at a fixed depth, lowered by every
-equation instance that stays inside the depth window and closed under
-triangle and operation propagation.  Deeper proofs can only lower
-distances further, so the result is an upper bound and is flagged as such.
+over-approximation: the generator metric on the terms of a fixed depth,
+lowered by every equation instance that stays inside the depth window and
+closed under triangle and operation propagation, which also derives the
+term metric.  Deeper proofs can only lower distances further, so the
+result is an upper bound and is flagged as such.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .algebras import (
     subalgebra_generated,
 )
 from .congruences import closure_fixpoint
-from .distance import Dist, ZERO
+from .distance import INF, Dist, ZERO
 from .errors import CapExceededError, StructuralError, check_cap
 from .matrix import pair_instances
 from .spaces import MetricSpace, PseudoSpace, make_space
@@ -41,7 +42,6 @@ from .terms import (
     check_term,
     enumerate_terms,
     op,
-    term_distance,
     var,
 )
 
@@ -291,7 +291,9 @@ class BoundedFreeAlgebra:
 
     The instances are found by evaluating both sides on term indices, one
     variable at a time: a subterm that leaves the window cuts off every
-    assignment that extends the variables bound so far.
+    assignment that extends the variables bound so far.  The matrix starts
+    from the generator metric with every other pair at infinity, so the
+    closure (NExp) derives the term metric too.
     """
 
     terms: tuple[Term, ...]
@@ -323,7 +325,13 @@ def free_in_variety_bounded(
     max_passes: int | None = None,
 ) -> BoundedFreeAlgebra:
     """Quotient the depth-bounded term metric by the in-window equation
-    instances, closing under triangle and operation propagation."""
+    instances, closing under triangle and operation propagation.
+
+    The window starts from the generator metric, every other pair of
+    distinct terms at infinity.  The closure lowers each pair of composites
+    with one head to the maximum of its child pairs, so by induction on
+    depth it derives the term metric; a pass cap must allow for that.
+    """
     check_cap("term", max_terms)
     check_cap("assignment", max_instances)
     check_cap("pass", max_passes, 1)
@@ -336,11 +344,10 @@ def free_in_variety_bounded(
         count = n ** len(eq.variables)
         if count > max_instances:
             raise CapExceededError("equation instance enumeration", count, max_instances)
-    matrix: list[list[Dist]] = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = term_distance(terms[i], terms[j], space)
-            matrix[i][j] = matrix[j][i] = d
+    # generators first, in point order; the closure derives the term metric
+    matrix = [[ZERO if i == j else INF for j in range(n)] for i in range(n)]
+    for i, row in enumerate(space.rows):
+        matrix[i][:len(row)] = row
 
     # the window as a partial algebra on term indices: per head, the child
     # index tuples of the window's composites; past the depth bound, undefined
@@ -444,6 +451,8 @@ def counterexample_demo(size: int = 3) -> DemoReport:
     """
     if size < 3:
         raise StructuralError("need size >= 3 so the witness pair exists")
+    if (size + 1) ** 4 > DEFAULT_PAIR_CAP:  # the checks' pair count, before building
+        raise CapExceededError("tuple pairs for symbol 'add'", (size + 1) ** 4, DEFAULT_PAIR_CAP)
     algebra = truncated_addition_monoid(size)
     sum_violations = check_op_against_combiner(algebra, "add", "sum")
     max_violations = check_op_against_combiner(algebra, "add", "max")

@@ -7,8 +7,10 @@ for the largest valid congruence matrix over a value grid, a
 backtracking isometry search, the congruence closure and the axiom,
 nonexpansiveness and compatibility reports computed directly on Dist
 values, equation instances found by evaluating both sides under every
-assignment, and the bounded free algebra built by substituting terms into
-the equations.
+assignment, the bounded free algebra built by substituting terms into
+the equations, the bounded homomorphism distance taken over every term of
+the window, and generated subalgebras found by applying every operation
+to every tuple until nothing new appears.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from quantalg import (
     Violation,
     dist_max,
     dist_sum,
+    enumerate_terms,
     substitute,
 )
 
@@ -471,3 +474,36 @@ def satisfies_by_evaluation(algebra, equation, max_assignments):
         if d > equation.epsilon:
             return False, assignment, d
     return True, None, None
+
+
+def hom_distance_by_terms(space, algebra, f1, f2, depth, max_terms):
+    """The supremum, over every term of depth <= depth, of the carrier
+    distance between its two evaluations, after rejecting assignments that
+    are not total or not nonexpanding (least expanding pair in point order).
+
+    The window comes from the library's enumerate_terms, which is checked
+    against enumerate_terms_sorted elsewhere and counts the window before
+    building it, so that the cap errors are the library's own."""
+    carrier = algebra.carrier
+    for f, tag in ((f1, "first"), (f2, "second")):
+        if any(p not in f for p in space.points):
+            raise StructuralError(f"{tag} assignment is not total on the space")
+        for x, y in itertools.combinations(space.points, 2):
+            if carrier.dist(f[x], f[y]) > space.dist(x, y):
+                raise StructuralError(f"{tag} assignment is not nonexpanding at {(x, y)}")
+    terms = enumerate_terms(algebra.signature, space.points, depth, max_terms)
+    return dist_max(
+        carrier.dist(_value(t, algebra.tables, f1), _value(t, algebra.tables, f2)) for t in terms
+    )
+
+
+def generated_subset(algebra, seed):
+    """The least superset of the seed closed under the operations: every
+    operation applied to every tuple of the set, until nothing is added."""
+    current = set(seed)
+    while True:
+        added = {algebra.tables[name][xs] for name, arity in algebra.signature.symbols
+                 for xs in itertools.product(sorted(current), repeat=arity)} - current
+        if not added:
+            return current
+        current |= added

@@ -41,6 +41,7 @@ from quantalg import (
 )
 
 import strategies as G
+from oracles import generated_subset
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -249,6 +250,26 @@ def test_subalgebra_generated():
 
     ones, _ = subalgebra_generated(alg, ["1"])
     assert ones.carrier.points == ("0", "1", "2", "3")
+
+
+@settings(max_examples=400, deadline=None)
+@given(seeds)
+def test_subalgebra_generated_matches_fixpoint_oracle(seed):
+    # random tables of arity 0-3, among them one of arity 2 or 3, so that
+    # new elements often need tuples that mix them with elements reached
+    # rounds earlier
+    rng = random.Random(seed)
+    symbols = [rng.choice([("m", 2), ("t", 3)])] + rng.sample([("c", 0), ("u", 1)], rng.randint(0, 2))
+    signature = Signature(symbols)
+    carrier = discrete_space([f"p{i}" for i in range(rng.randint(1, 8))])
+    pts = list(carrier.points)
+    tables = {name: {xs: rng.choice(pts) for xs in itertools.product(pts, repeat=arity)}
+              for name, arity in signature.symbols}
+    algebra = QuantAlgebra(carrier, signature, tables)
+    chosen = rng.sample(pts, rng.randint(0, min(2, len(pts))))
+    sub, inclusion = subalgebra_generated(algebra, chosen)
+    assert set(sub.carrier.points) == generated_subset(algebra, chosen)
+    assert inclusion.is_isometric_embedding()
 
 
 def test_image_factorize_cases():

@@ -17,6 +17,7 @@ from quantalg.varieties import (
     monoid_equations,
 )
 import quantalg.jsonio as jsonio
+import quantalg.spaces as spaces
 
 
 @pytest.fixture
@@ -95,6 +96,29 @@ def test_demo_counterexample(files, capsys):
 
 def test_demo_rejects_small_n(capsys):
     assert run(capsys, "demo-counterexample", "--demo-n", "2")[0] == 2
+
+
+# The demo's pair count is checked before the demo is built: without that
+# check --demo-n 100000 built a 10**10-entry table first, so to run this
+# test against an older revision, limit its memory with ulimit -v.
+def test_demo_checks_the_pair_cap_before_building(capsys):
+    code, out, err = run(capsys, "--format", "json", "demo-counterexample", "--demo-n", "100000")
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "cap"
+    assert error["message"].startswith(f"tuple pairs for symbol 'add': {100_001**4} exceeds")
+
+
+def test_validate_subcongruence_checks_the_base_once(files, capsys, monkeypatch):
+    base = {"points": ["a", "b", "c"], "dist": [["a", "b", "1"], ["b", "c", "1"], ["a", "c", "2"]]}
+    checks = []
+    real = spaces.axiom_report  # behind space_violations and the space constructors
+    monkeypatch.setattr(spaces, "axiom_report", lambda *a, **k: checks.append(a) or real(*a, **k))
+    for dhat, code in (([["a", "b", "0"], ["a", "c", "1"]], 0), ([["a", "b", "0"]], 1)):
+        path = files("sub.json", {"base": base, "dhat": dhat})
+        assert run(capsys, "--format", "json", "validate", "subcongruence", path)[0] == code
+        assert len(checks) == 1
+        checks.clear()
 
 
 def _monoid_docs(files):

@@ -29,7 +29,7 @@ from quantalg import (
 from quantalg.terms import DEFAULT_TERM_CAP
 
 import strategies as G
-from oracles import enumerate_terms_sorted
+from oracles import enumerate_terms_sorted, hom_distance_by_terms
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -225,6 +225,43 @@ def test_hom_distance_bounded_rejects_expanding_assignment():
         hom_distance_bounded(m, alg, far, near, 0)
     with pytest.raises(StructuralError, match=r"^second assignment is not nonexpanding at \('u', 'v'\)$"):
         hom_distance_bounded(m, alg, near, far, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_hom_distance_bounded_matches_term_oracle(seed):
+    # random signatures (constants to ternary) on discrete and line carriers
+    # of 1-4 points, 0-3 generators, caps that are often hit and assignments
+    # that are often expanding, at every depth from -1 to 3; random tables
+    # on a line are often expanding too, and only then does depth matter
+    rng = random.Random(seed)
+    signature = G.rand_signature(rng)
+    k = rng.randint(1, 4)
+    line = rng.random() < 0.7
+    carrier = G._line_carrier(rng, k)[0] if line else discrete_space([f"p{i}" for i in range(k)])
+    pts = list(carrier.points)
+    if line and rng.random() < 0.3:  # nonexpanding operations
+        tables = {name: G._line_op(rng, pts, arity) for name, arity in signature.symbols}
+    else:
+        tables = {name: {xs: rng.choice(pts) for xs in itertools.product(pts, repeat=arity)}
+                  for name, arity in signature.symbols}
+    algebra = QuantAlgebra(carrier, signature, tables)
+    space = G.rand_metric_space(rng, rng.randint(0, 3))
+    f1, f2 = ((rng.random() < 0.6 and G.rand_nonexpanding_map(rng, space, carrier))
+              or {p: rng.choice(pts) for p in space.points} for _ in range(2))
+    cap = rng.choice([DEFAULT_TERM_CAP, 50, 10, 3, 0])
+    for depth in range(-1, 4):
+        args = (space, algebra, f1, f2, depth, cap)
+        try:
+            want = hom_distance_by_terms(*args)
+        except (CapExceededError, StructuralError) as exc:
+            with pytest.raises(type(exc)) as got:
+                hom_distance_bounded(*args)
+            assert str(got.value) == str(exc)
+            if isinstance(exc, CapExceededError):
+                assert (got.value.kind, got.value.needed, got.value.cap) == (exc.kind, exc.needed, exc.cap)
+            continue
+        assert hom_distance_bounded(*args) == want
 
 
 @settings(max_examples=40, deadline=None)

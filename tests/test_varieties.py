@@ -295,14 +295,25 @@ def test_birkhoff_soundness_commutative_monoids():
     assert any("homomorphic image" in lab for lab in labels)
 
 
-def test_free_bounded_no_equations_is_term_metric():
-    empty = VarietyPresentation(monoid_signature(), [])
-    m = make_space(["x", "y"], {("x", "y"): 1})
-    free = free_in_variety_bounded(empty, m, 2)
-    for i, t in enumerate(free.terms):
-        for j, s in enumerate(free.terms):
-            assert free.matrix[i][j] == term_distance(t, s, m)
-    assert free.over_approximation
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_free_bounded_no_equations_is_term_metric(seed):
+    # the window starts from the generator metric alone, so the closure
+    # must derive every composite entry of the term metric
+    rng = random.Random(seed)
+    cases = [
+        (monoid_signature(), make_space(["x", "y"], {("x", "y"): 1}), 2),
+        (G.rand_signature(rng), G.rand_metric_space(rng, rng.randint(1, 3)), rng.randint(0, 2)),
+    ]
+    for signature, m, depth in cases:
+        try:
+            free = free_in_variety_bounded(VarietyPresentation(signature, []), m, depth, max_terms=80)
+        except CapExceededError:
+            continue
+        for i, t in enumerate(free.terms):
+            for j, s in enumerate(free.terms):
+                assert free.matrix[i][j] == term_distance(t, s, m)
+        assert free.over_approximation
 
 
 def test_free_bounded_epsilon_commutative():
@@ -380,9 +391,11 @@ def test_free_bounded_term_matrix_hits_the_pair_cap():
 def test_free_bounded_checks_the_instance_cap_before_the_term_metric(monkeypatch):
     # depth 3 of the commutative monoid over two points has 2707 terms, so
     # associativity has 2707^3 assignments: the run exits on the instance
-    # cap before any entry of the O(n^2) term metric is computed
+    # cap before any instance is applied or any entry of the O(n^2) matrix
+    # is closed
     calls = []
-    monkeypatch.setattr(varieties, "term_distance", lambda *a: calls.append(a))
+    for name in ("closure_fixpoint", "_instances"):
+        monkeypatch.setattr(varieties, name, lambda *a: calls.append(a))
     with pytest.raises(CapExceededError) as exc:
         free_in_variety_bounded(monoid_variety("1/2"), discrete_space(["x", "y"]), 3)
     assert exc.value.kind == "equation instance enumeration"
