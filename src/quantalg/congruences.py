@@ -23,7 +23,7 @@ from .algebras import (
 )
 from .distance import Dist, ZERO, dist_max
 from .errors import ConvergenceError, Frozen, InvariantError, StructuralError, check_cap
-from .matrix import min_plus_sweep, propagation_sweep, scale, unscale
+from .matrix import _finite_components, min_plus_sweep, propagation_sweep, scale, unscale
 from .spaces import (
     MetricSpace,
     PseudoSpace,
@@ -177,7 +177,7 @@ def product_subcongruence(s1: Subcongruence, s2: Subcongruence) -> Subcongruence
 
 
 def closure_fixpoint(matrix: list[list[Dist]], rules: Sequence[tuple], pass_cap: int) -> int:
-    """Alternate full min-plus sweeps with propagation sweeps, in place.
+    """Alternate min-plus sweeps with propagation sweeps, in place.
 
     The matrix must be symmetric with a zero diagonal.  Stops after a full
     alternation with zero changes; returns the number of alternations.
@@ -191,25 +191,50 @@ def closure_fixpoint(matrix: list[list[Dist]], rules: Sequence[tuple], pass_cap:
     input entry is at least the least of them.  So every entry changes
     finitely often, and every pass but the last changes one.  The pass cap
     is a budget on the work, not a guard of soundness.
+
+    A pass sweeps each finite component (points joined by finite entries)
+    on its own block, and only where needed; the iterates are those of a
+    dense sweep of the whole matrix, pass for pass.  Entries between two
+    components are infinite and stay so under min-plus, so the
+    shortest-path closure of the matrix is that of each block.  After a
+    pass's sweeps every component is closed.  A component of the next
+    pass that holds no endpoint of a cell propagation lowered has every
+    entry touching it unchanged: it is a component of the swept matrix,
+    still closed, and a sweep would change nothing.  Merging components
+    takes a lowered cell between them, so a merged component is swept.
+    Hence every pass ends on the dense sweep's matrix with the same change
+    flag, and the pass count and ``ConvergenceError`` snapshots are the
+    dense alternation's.
     """
     n = len(matrix)
     (m,), unit, inf = scale(matrix)
-    start, passes = m[:], 0
+    start, passes, touched = m[:], 0, None  # None: sweep every component
+    values: dict[int, Dist] = {}
+
+    def dist(v: int) -> Dist:
+        if v not in values:
+            values[v] = unscale(v, unit, inf)
+        return values[v]
+
     try:
         while True:
             snapshot = m[:]
-            changed = min_plus_sweep(m, n, inf)
-            changed = propagation_sweep(m, rules) or changed
+            changed = False
+            for points in _finite_components(m, n, inf):
+                if touched is None or not touched.isdisjoint(points):
+                    changed = min_plus_sweep(m, n, inf, points) or changed
+            lowered = propagation_sweep(m, rules)
             passes += 1
-            if not changed:
+            if not (changed or lowered):
                 return passes
             if passes >= pass_cap:
                 break
+            touched = {c // n for c in lowered}  # a lowered cell joins its two points
     finally:
         for c, (old, new) in enumerate(zip(start, m)):
             if new != old:
-                matrix[c // n][c % n] = unscale(new, unit, inf)
-    previous = [[unscale(v, unit, inf) for v in snapshot[i:i + n]] for i in range(0, n * n, n)]
+                matrix[c // n][c % n] = dist(new)
+    previous = [[dist(v) for v in snapshot[i:i + n]] for i in range(0, n * n, n)]
     raise ConvergenceError(passes, previous, [row[:] for row in matrix])
 
 

@@ -35,6 +35,12 @@ def _fields(doc, kind: str, *keys: str) -> None:
         _expect(key in doc, f"{kind} document needs {key!r}")
 
 
+def _only(keys, allowed, message: str) -> None:
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise StructuralError(f"{message} {unknown[0]!r}")
+
+
 def _triples(entries, list_message: str, kind: str) -> list[tuple[str, str, Dist]]:
     _expect(isinstance(entries, list), list_message)
     out = []
@@ -56,6 +62,7 @@ def space_to_doc(space: PseudoSpace) -> dict:
 def space_parts_from_doc(doc) -> tuple[list[str], list[list[Dist]]]:
     """Points and the fully defaulted matrix, with no axiom checking."""
     _expect(isinstance(doc, dict), "space document must be an object")
+    _only(doc, ("points", "dist"), "space document has unknown key")
     _expect(isinstance(doc.get("points"), list), "space document needs a 'points' list")
     triples = _triples(doc.get("dist", []), "'dist' must be a list of [x, y, d] triples",
                        "distance entry")
@@ -99,6 +106,7 @@ def algebra_from_doc(doc) -> QuantAlgebra:
     carrier = space_from_doc(doc["space"])
     signature = signature_from_doc(doc["signature"])
     _expect(isinstance(doc["tables"], dict), "'tables' must be an object")
+    _only(doc["tables"], signature.names, "'tables' has a table for unknown symbol")
     tables: dict[str, dict[tuple[str, ...], str]] = {}
     for name, arity in signature.symbols:
         rows = doc["tables"].get(name)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import add, ne
+from operator import add, lt, ne
 from typing import Iterator, Sequence
 
 from .distance import INF, Dist
@@ -93,28 +93,58 @@ def stretched(
     ]
 
 
-def min_plus_sweep(m: list[int], n: int, inf: int) -> bool:
-    """Replace a symmetric, zero-diagonal matrix by its shortest-path
-    closure (Floyd-Warshall); True when an entry dropped."""
+def _finite_components(m: list[int], n: int, inf: int) -> list[list[int]]:
+    """The points joined by entries below the sentinel, one sorted list per
+    component of two or more points, in order of their least point."""
+    parent = list(range(n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]  # path halving
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in compress(range(i + 1, n), map(lt, m[i * n + i + 1:(i + 1) * n], repeat(inf))):
+            a, b = root(i), root(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(root(i), []).append(i)
+    return [points for points in groups.values() if len(points) > 1]
+
+
+def min_plus_sweep(m: list[int], n: int, inf: int, points: Sequence[int]) -> bool:
+    """Replace the block of a symmetric, zero-diagonal matrix on the given
+    points by its shortest-path closure (Floyd-Warshall); True when an
+    entry dropped, and only then is the block written back."""
+    k = len(points)
+    block = [m[i * n + j] for i in points for j in points]
     changed = False
-    for k in range(n):
-        row_k = m[k * n:(k + 1) * n]
-        for lo in range(0, n * n, n):
-            d_ik = m[lo + k]
-            if d_ik >= inf:
+    for c in range(k):
+        row_c = block[c * k:(c + 1) * k]
+        for lo in range(0, k * k, k):
+            d_ic = block[lo + c]
+            if d_ic >= inf:
                 continue
-            row_i = m[lo:lo + n]
-            new = [a if a <= b else b for a, b in zip(row_i, [d_ik + x for x in row_k])]
+            row_i = block[lo:lo + k]
+            new = [a if a <= b else b for a, b in zip(row_i, [d_ic + x for x in row_c])]
             if new != row_i:
-                m[lo:lo + n] = new
+                block[lo:lo + k] = new
                 changed = True
+    if changed:
+        for r, i in enumerate(points):
+            for j, v in zip(points, block[r * k:(r + 1) * k]):
+                m[i * n + j] = v
     return changed
 
 
-def propagation_sweep(m: list[int], rules: Sequence[tuple[int, ...]]) -> bool:
+def propagation_sweep(m: list[int], rules: Sequence[tuple[int, ...]]) -> list[int]:
     """Lower each output pair to the maximum of its coordinate pairs, in
-    rule order and reading entries as they change; True when one did."""
-    changed = False
+    rule order and reading entries as they change; the first output cell
+    of each rule that lowered its pair."""
+    lowered = []
     get = m.__getitem__
     for inst in rules:
         out = m[inst[0]]
@@ -123,5 +153,5 @@ def propagation_sweep(m: list[int], rules: Sequence[tuple[int, ...]]) -> bool:
             bound = max(map(get, inst[2:]))
             if bound < out:
                 m[inst[0]] = m[inst[1]] = bound
-                changed = True
-    return changed
+                lowered.append(inst[0])
+    return lowered

@@ -362,6 +362,8 @@ def free_in_variety_bounded(
 
     rules = [inst for _, table in sorted(tables.items())
              for chunk in pair_instances(n, list(table), list(table.values())) for inst in chunk]
+    # a composite's rule after its children's: children have smaller indices
+    rules.sort(key=lambda inst: max(divmod(inst[0], n)))
     cap = max_passes if max_passes is not None else 16 * n * n * (1 + len(rules))
     closure_fixpoint(matrix, rules, cap)
     return BoundedFreeAlgebra(

@@ -276,6 +276,28 @@ def _propagation_sweep(m, rules):
     return changed
 
 
+def finite_components_by_search(m, n, inf):
+    """The components of a symmetric flat integer matrix under the entries
+    below ``inf``, found by breadth-first search from each unvisited point;
+    sorted point lists of two or more points, by least point."""
+    seen, out = set(), []
+    for s in range(n):
+        if s in seen:
+            continue
+        seen.add(s)
+        queue, found = [s], [s]
+        while queue:
+            i = queue.pop(0)
+            for j in range(n):
+                if j not in seen and m[i * n + j] < inf:
+                    seen.add(j)
+                    queue.append(j)
+                    found.append(j)
+        if len(found) > 1:
+            out.append(sorted(found))
+    return out
+
+
 def closure_sweeps(matrix, rules, pass_cap):
     """The congruence closure on Dist values, in place: full min-plus
     sweeps alternating with propagation sweeps until an alternation

@@ -69,6 +69,25 @@ def test_validate_algebra(files, capsys):
     assert doc["data"]["violations"]
 
 
+def test_unknown_document_keys_are_structural_errors(files, capsys):
+    space = files("s.json", {"points": ["x", "y"], "distances": [["x", "y", "1"]]})
+    algebra = files("a.json", {
+        "space": {"points": ["a"], "dist": []},
+        "signature": [["f", 1]],
+        "tables": {"f": [["a", "a"]], "g": [["a", "a"]]},
+    })
+    sub = files("sub.json", {"base": {"points": ["a"], "dist": [], "extra": 1}, "dhat": []})
+    cases = [
+        (("validate", "space", space), "space document has unknown key 'distances'"),
+        (("validate", "algebra", algebra), "'tables' has a table for unknown symbol 'g'"),
+        (("validate", "subcongruence", sub), "space document has unknown key 'extra'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, "--format", "json", *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"kind": "structural", "message": message}
+
+
 def test_structural_error_exit_2(files, capsys):
     missing = "/nonexistent/nowhere.json"
     code, _, err = run(capsys, "validate", "space", missing)

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quantalg.congruences as congruences
 import quantalg.varieties as varieties
 from quantalg import (
     CongruenceOnAlgebra,
@@ -43,11 +44,13 @@ from quantalg import (
 )
 from quantalg.algebras import operation_instances
 from quantalg.congruences import closure_fixpoint
+from quantalg.matrix import _finite_components
 
 import strategies as G
 from oracles import (
     axiom_report,
     closure_sweeps,
+    finite_components_by_search,
     compatibility_report,
     op_report,
     operation_rules,
@@ -165,6 +168,113 @@ def test_small_pass_cap_raises_with_dist_snapshots():
     assert got.value.previous == want.value.previous == start
     assert got.value.current == want.value.current == ours == ref
     assert all(isinstance(d, Dist) for row in got.value.previous + got.value.current for d in row)
+
+
+def block_space(rng, sizes):
+    """Groups of the given sizes, each one finite component (coprime edge
+    weights on every pair, closed under shortest paths), at infinite
+    distance from each other."""
+    n = sum(sizes)
+    rows = [[ZERO if i == j else INF for j in range(n)] for i in range(n)]
+    lo = 0
+    for size in sizes:
+        for i, j in itertools.combinations(range(lo, lo + size), 2):
+            rows[i][j] = rows[j][i] = coprime_dist(rng)
+        lo += size
+    return MetricSpace(G.POINT_NAMES[:n], shortest_path_closure(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_closure_on_block_starts_matches_dist_oracle_at_every_cap(seed):
+    # the per-component sweeps must give the dense alternation's iterates
+    # pass for pass: the same snapshots wherever a cap cuts the run short
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+    space = block_space(rng, sizes)
+    pts = space.points
+    symbols = [(f"f{i}", rng.choice((1, 2))) for i in range(rng.randint(1, 2))]
+    tables = {name: {xs: rng.choice(pts) for xs in itertools.product(pts, repeat=a)}
+              for name, a in symbols}
+    algebra = QuantAlgebra(space, Signature(symbols), tables)
+    start = lowered(rng, space)
+    table, rules = operation_instances(algebra), operation_rules(algebra)
+    ours, ref = copy(start), copy(start)
+    passes = closure_fixpoint(ours, table, 10_000)
+    assert passes == closure_sweeps(ref, rules, 10_000)
+    assert ours == ref
+    for cap in range(1, passes):
+        ours, ref = copy(start), copy(start)
+        with pytest.raises(ConvergenceError) as got:
+            closure_fixpoint(ours, table, cap)
+        with pytest.raises(ConvergenceError) as want:
+            closure_sweeps(ref, rules, cap)
+        assert got.value.passes == want.value.passes == cap
+        assert got.value.previous == want.value.previous
+        assert got.value.current == want.value.current == ref
+
+
+def test_closure_sweeps_only_components_that_propagation_touched():
+    # {a, b} and {c, d, e} at infinity from each other; f fixes every point
+    # but d, which it sends to e.  Pass 1 sweeps both components and
+    # propagation lowers (c, e) through (c, d); pass 2 sweeps {c, d, e}
+    # alone and lowers nothing; pass 3 sweeps nothing and ends the closure.
+    space = MetricSpace(
+        ["a", "b", "c", "d", "e"],
+        [
+            [ZERO, Dist("3/7"), INF, INF, INF],
+            [Dist("3/7"), ZERO, INF, INF, INF],
+            [INF, INF, ZERO, Dist(1), Dist(2)],
+            [INF, INF, Dist(1), ZERO, Dist(1)],
+            [INF, INF, Dist(2), Dist(1), ZERO],
+        ],
+    )
+    f = {(x,): "e" if x == "d" else x for x in space.points}
+    algebra = QuantAlgebra(space, Signature([("f", 1)]), {"f": f})
+    start = copy(space.rows)
+    start[2][3] = start[3][2] = ZERO
+    swept = []
+    real = congruences.min_plus_sweep
+
+    def spy(m, n, inf, points):
+        swept.append(list(points))
+        return real(m, n, inf, points)
+
+    ours, ref = copy(start), copy(start)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(congruences, "min_plus_sweep", spy)
+        passes = closure_fixpoint(ours, operation_instances(algebra), 100)
+    assert passes == closure_sweeps(ref, operation_rules(algebra), 100) == 3
+    assert ours == ref
+    assert ours[2][4] == ours[3][4] == ZERO
+    assert swept == [[0, 1], [2, 3, 4], [2, 3, 4]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_finite_components_match_search_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 9)
+    inf = 1000
+    m = [0 if i == j else inf for i in range(n) for j in range(n)]
+    density = rng.choice((0.0, 0.1, 0.3, 0.8))
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            m[i * n + j] = m[j * n + i] = rng.randint(0, inf - 1)
+    assert _finite_components(m, n, inf) == finite_components_by_search(m, n, inf)
+
+
+def test_finite_components_edge_cases():
+    assert _finite_components([], 0, 1) == []
+    assert _finite_components([0], 1, 1) == []
+    assert _finite_components([0, 5, 5, 0], 2, 5) == []  # all infinite
+    assert _finite_components([0, 4, 4, 0], 2, 5) == [[0, 1]]
+    # a chain 3 - 0 - 2 with 1 alone: union-find merges out of order
+    inf = 9
+    m = [0 if i == j else inf for i in range(4) for j in range(4)]
+    for i, j in ((0, 3), (0, 2)):
+        m[i * 4 + j] = m[j * 4 + i] = 1
+    assert _finite_components(m, 4, inf) == [[0, 2, 3]]
 
 
 FREE_CASES = [
